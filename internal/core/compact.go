@@ -141,31 +141,40 @@ func CompactSetPasses(c *netlist.Circuit, fl []faults.Fault, res *Result, cfg Co
 
 // VerifyCoverage checks that the expansions of set together detect every
 // fault in F (res.DetectedByT0); it returns the indices of any faults
-// missed. A nil/empty result certifies the BIST scheme's coverage
-// guarantee.
+// missed, in index order. A nil/empty result certifies the BIST scheme's
+// coverage guarantee.
+//
+// Each sequence is simulated from scratch, but only against the faults
+// no earlier sequence detected (fault dropping): a fault counts as
+// covered once any expansion detects it, so the outcome is that of
+// simulating every sequence against every fault.
 func VerifyCoverage(c *netlist.Circuit, fl []faults.Fault, res *Result, set []Selected, cfg Config) []int {
-	targIdx := make([]int, 0, res.NumTargets)
-	targFl := make([]faults.Fault, 0, res.NumTargets)
+	left := make([]int, 0, res.NumTargets)
 	for i := range fl {
 		if res.DetectedByT0[i] {
-			targIdx = append(targIdx, i)
-			targFl = append(targFl, fl[i])
+			left = append(left, i)
 		}
 	}
-	covered := make([]bool, len(targFl))
+	sub := make([]faults.Fault, 0, len(left))
 	for _, s := range set {
-		r := fsim.New(c, targFl, cfg.simOptions()).Run(expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
-		for k := range targFl {
-			if r.Detected[k] {
-				covered[k] = true
+		if len(left) == 0 {
+			break
+		}
+		sub = sub[:0]
+		for _, fi := range left {
+			sub = append(sub, fl[fi])
+		}
+		r := fsim.New(c, sub, cfg.simOptions()).Run(expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
+		kept := left[:0]
+		for k, fi := range left {
+			if !r.Detected[k] {
+				kept = append(kept, fi)
 			}
 		}
+		left = kept
 	}
-	var missed []int
-	for k, ok := range covered {
-		if !ok {
-			missed = append(missed, targIdx[k])
-		}
+	if len(left) == 0 {
+		return nil
 	}
-	return missed
+	return left
 }

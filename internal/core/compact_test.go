@@ -1,10 +1,14 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
+	"seqbist/internal/expand"
 	"seqbist/internal/faults"
+	"seqbist/internal/fsim"
 	"seqbist/internal/iscas"
+	"seqbist/internal/netlist"
 	"seqbist/internal/vectors"
 	"seqbist/internal/xrand"
 )
@@ -131,5 +135,78 @@ func TestCompactEmptySet(t *testing.T) {
 	set, stats := CompactSet(c, fl, res, DefaultConfig(1))
 	if len(set) != 0 || stats.Before.NumSequences != 0 {
 		t.Error("empty input mishandled")
+	}
+}
+
+// allPairsMissed is VerifyCoverage without fault dropping: every
+// sequence against every target.
+func allPairsMissed(c *netlist.Circuit, fl []faults.Fault, res *Result, set []Selected, cfg Config) []int {
+	targIdx := make([]int, 0, res.NumTargets)
+	targFl := make([]faults.Fault, 0, res.NumTargets)
+	for i := range fl {
+		if res.DetectedByT0[i] {
+			targIdx = append(targIdx, i)
+			targFl = append(targFl, fl[i])
+		}
+	}
+	covered := make([]bool, len(targFl))
+	for _, s := range set {
+		r := fsim.New(c, targFl, cfg.simOptions()).Run(expand.Compose(s.Seq, cfg.N, cfg.expandOps()))
+		for k := range targFl {
+			covered[k] = covered[k] || r.Detected[k]
+		}
+	}
+	var missed []int
+	for k, ok := range covered {
+		if !ok {
+			missed = append(missed, targIdx[k])
+		}
+	}
+	return missed
+}
+
+// TestVerifyCoverageDroppingMatchesAllPairs removes needed sequences
+// from a compacted set, one at a time and up to about six per circuit:
+// the fault-dropping check must report exactly the faults the all-pairs
+// check misses, in index order.
+func TestVerifyCoverageDroppingMatchesAllPairs(t *testing.T) {
+	circuits := []struct {
+		name   string
+		maxLen int
+	}{{"s27", 0}, {"s298", 400}, {"s1423", 300}}
+	if raceEnabled {
+		circuits = circuits[:2]
+	}
+	for _, cc := range circuits {
+		c := iscas.MustLoad(cc.name)
+		fl := faults.CollapsedUniverse(c)
+		t0 := s27T0()
+		if cc.maxLen > 0 {
+			t0 = atpgT0(t, c, fl, cc.maxLen)
+		}
+		cfg := DefaultConfig(2)
+		cfg.MaxOmissionTrials = 20
+		res, err := Select(c, fl, t0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		set, _ := CompactSet(c, fl, res, cfg)
+		if missed := VerifyCoverage(c, fl, res, set, cfg); missed != nil {
+			t.Fatalf("%s: compacted set misses %v", cc.name, missed)
+		}
+		needed := 0
+		for i := 0; i < len(set); i += max(1, len(set)/6) {
+			cut := append(append([]Selected(nil), set[:i]...), set[i+1:]...)
+			got, want := VerifyCoverage(c, fl, res, cut, cfg), allPairsMissed(c, fl, res, cut, cfg)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s without sequence %d: missed %v, all-pairs %v", cc.name, i, got, want)
+			}
+			if len(want) > 0 {
+				needed++
+			}
+		}
+		if needed == 0 {
+			t.Errorf("%s: no sequence of the compacted set is needed", cc.name)
+		}
 	}
 }

@@ -22,6 +22,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"seqbist/internal/expand"
@@ -67,10 +68,11 @@ type Config struct {
 	// 64 packs 64 faults per word, 128/256 pack wider word-vectors. Any
 	// width yields identical results; see fsim.Options.
 	Lanes int
-	// Interrupt, when non-nil, is polled between units of work (once per
-	// targeted fault and once per omission trial). When it returns true,
-	// selection stops with ErrInterrupted. The service layer uses this to
-	// cancel in-flight jobs promptly.
+	// Interrupt, when non-nil, is polled between units of work: once per
+	// targeted fault and once per Procedure 2 simulation pass (each pass
+	// checks up to 64 windows or omission candidates). When it returns
+	// true, selection stops with ErrInterrupted. The service layer uses
+	// this to cancel in-flight jobs promptly.
 	Interrupt func() bool
 }
 
@@ -186,19 +188,24 @@ type Result struct {
 // Selector holds the circuit-dependent state shared by Procedure 1 and 2.
 //
 // Procedure 2's inner loop — one target fault checked against thousands
-// of candidate expanded sequences — runs on the reused fsim.Single,
-// which simulates the faulty machine only over the fault's active region
-// and skips quiescent cycles outright (DESIGN.md §8); the bulk
-// simulations of Procedure 1 and §3.2 compaction go through a sharded
-// active-region fsim.Engine built from cfg.simOptions().
+// of candidate expanded sequences — runs on the reused fsim.Batch, which
+// checks up to 64 candidates per word pass while charging Sims as if
+// they were checked one at a time (DESIGN.md §8); the bulk simulations
+// of Procedure 1 and §3.2 compaction go through a sharded active-region
+// fsim.Engine built from cfg.simOptions().
 type Selector struct {
-	c      *netlist.Circuit
-	fl     []faults.Fault
-	t0     vectors.Sequence
-	cfg    Config
-	single *fsim.Single
-	rng    *xrand.RNG
-	sims   int
+	c     *netlist.Circuit
+	fl    []faults.Fault
+	t0    vectors.Sequence
+	cfg   Config
+	batch *fsim.Batch
+	rng   *xrand.RNG
+	sims  int
+	// lanes and laneBuf are the pooled candidate sequences of one Batch
+	// pass: windows of T0 alias it, omission candidates are copied into
+	// laneBuf.
+	lanes   [fsim.BatchLanes]vectors.Sequence
+	laneBuf [fsim.BatchLanes]vectors.Sequence
 	// baseRes memoizes the T0 fault simulation (step 1 of Procedure 1),
 	// which depends only on the circuit, fault list, and T0 — strategies
 	// that call RunOrder many times on one Selector pay for it once.
@@ -221,12 +228,12 @@ func NewSelector(c *netlist.Circuit, fl []faults.Fault, t0 vectors.Sequence, cfg
 		return nil, fmt.Errorf("core: lanes %d, must be 0 or a multiple of 64", cfg.Lanes)
 	}
 	return &Selector{
-		c:      c,
-		fl:     fl,
-		t0:     t0,
-		cfg:    cfg,
-		single: fsim.NewSingle(c),
-		rng:    xrand.New(cfg.Seed),
+		c:     c,
+		fl:    fl,
+		t0:    t0,
+		cfg:   cfg,
+		batch: fsim.NewBatch(c),
+		rng:   xrand.New(cfg.Seed),
 	}, nil
 }
 
@@ -406,37 +413,59 @@ func (sel *Selector) runTargets(targ []int) (*Result, error) {
 // FindSubsequence runs Procedure 2 for fault index f (which must be
 // detected by T0). It returns the shrunken subsequence and the ustart of
 // the pre-omission window.
+//
+// Every candidate is checked on the trial-parallel fsim.Batch, up to 64
+// per pass, and each pass is charged only for the trials the sequential
+// procedure would have run up to and including the first success, so
+// the result, Sims and the random stream equal those of checking one
+// candidate at a time.
 func (sel *Selector) FindSubsequence(f int) (vectors.Sequence, int, error) {
-	det, udet := sel.single.Detects(sel.fl[f], sel.t0)
-	if !det {
+	base := sel.base()
+	if !base.Detected[f] {
 		return nil, 0, fmt.Errorf("core: fault %s not detected by T0", sel.fl[f].Name(sel.c))
 	}
+	udet := base.DetTime[f]
 
 	// Steps 1-3: find the latest ustart whose expanded window detects f.
-	ustart := udet
-	var t1 vectors.Sequence
-	for {
-		t1 = sel.t0.Subsequence(ustart, udet)
-		sel.sims++
-		if ok, _ := sel.single.Detects(sel.fl[f], expand.Compose(t1, sel.cfg.N, sel.cfg.expandOps())); ok {
-			break
+	// Lane q of a pass starting at k holds T0[udet-k-q, udet]; passes grow
+	// from 8 to 64 lanes because most targets need only a short window.
+	for k, block := 0, 8; k <= udet; k, block = k+block, min(2*block, fsim.BatchLanes) {
+		if sel.cfg.interrupted() {
+			return nil, 0, ErrInterrupted
 		}
-		ustart--
-		if ustart < 0 {
-			// Cannot happen: the expansion of T0[0,udet] begins with
-			// T0[0,udet] itself, which detects f at time udet.
-			return nil, 0, fmt.Errorf("core: no window of T0 detects %s when expanded; simulator inconsistency",
-				sel.fl[f].Name(sel.c))
+		lanes := sel.lanes[:min(block, udet+1-k)]
+		for q := range lanes {
+			lanes[q] = sel.t0[udet-k-q : udet+1]
+		}
+		if tried, ok := sel.firstDetecting(f, lanes); ok {
+			ustart := udet - k - (tried - 1)
+			t1 := sel.t0.Subsequence(ustart, udet)
+			if sel.cfg.DisableOmission {
+				return t1, ustart, nil
+			}
+			// Steps 4-9: random-order omission.
+			return sel.omit(f, t1), ustart, nil
 		}
 	}
+	// Cannot happen: the expansion of T0[0,udet] begins with T0[0,udet]
+	// itself, which detects f at time udet.
+	return nil, 0, fmt.Errorf("core: no window of T0 detects %s when expanded; simulator inconsistency",
+		sel.fl[f].Name(sel.c))
+}
 
-	if sel.cfg.DisableOmission {
-		return t1, ustart, nil
+// firstDetecting simulates the expansions of lanes against fault f in one
+// Batch pass. It returns the number of trials the sequential procedure
+// would have run — every lane up to and including the lowest one that
+// detects f, or all of them — charges them to Sims, and reports whether
+// the last of them detects f.
+func (sel *Selector) firstDetecting(f int, lanes []vectors.Sequence) (tried int, ok bool) {
+	det := sel.batch.Detects(sel.fl[f], lanes, sel.cfg.N, sel.cfg.expandOps(), fsim.FirstDetected)
+	tried, ok = len(lanes), det != 0
+	if ok {
+		tried = bits.TrailingZeros64(det) + 1
 	}
-
-	// Steps 4-9: random-order omission.
-	t1 = sel.omit(f, t1)
-	return t1, ustart, nil
+	sel.sims += tried
+	return tried, ok
 }
 
 // omit shrinks t1 by random-order vector omission while the expansion
@@ -448,23 +477,42 @@ func (sel *Selector) omit(f int, t1 vectors.Sequence) vectors.Sequence {
 	return sel.omitSinglePass(f, t1)
 }
 
-// tryOmit reports whether the expansion of candidate still detects f.
-func (sel *Selector) tryOmit(f int, candidate vectors.Sequence) bool {
-	sel.sims++
-	ok, _ := sel.single.Detects(sel.fl[f], expand.Compose(candidate, sel.cfg.N, sel.cfg.expandOps()))
-	return ok
+// omissionLanes fills one pass's lanes with cur minus the vector at each
+// of the given positions and returns them.
+func (sel *Selector) omissionLanes(cur vectors.Sequence, at []int) []vectors.Sequence {
+	lanes := sel.lanes[:len(at)]
+	for q, i := range at {
+		buf := append(sel.laneBuf[q][:0], cur[:i]...)
+		sel.laneBuf[q] = append(buf, cur[i+1:]...)
+		lanes[q] = sel.laneBuf[q]
+	}
+	return lanes
+}
+
+// passSize is the number of omission trials the next pass speculates
+// on: at most one word of lanes, the rest of the permutation, and the
+// trial budget left.
+func (sel *Selector) passSize(left, trials int) int {
+	nl := min(fsim.BatchLanes, left)
+	if budget := sel.cfg.MaxOmissionTrials; budget > 0 {
+		nl = min(nl, budget-trials)
+	}
+	return nl
 }
 
 // omitWithRestart is the paper-faithful omission: after every accepted
 // omission the scan restarts over the shorter sequence (Procedure 2's
 // "go to Step 4"); the loop terminates when a full random-order scan
-// accepts nothing.
+// accepts nothing. Each pass tries the next candidates of the
+// permutation against the same t1 and accepts the first success in
+// permutation order, which is the omission the sequential scan accepts.
 func (sel *Selector) omitWithRestart(f int, t1 vectors.Sequence) vectors.Sequence {
 	trials := 0
 	budget := sel.cfg.MaxOmissionTrials
 	for {
 		accepted := false
-		for _, i := range sel.rng.Perm(t1.Len()) {
+		perm := sel.rng.Perm(t1.Len())
+		for p := 0; p < len(perm); {
 			if t1.Len() == 1 {
 				// Omitting the last vector would leave an empty sequence,
 				// which cannot detect anything.
@@ -478,12 +526,15 @@ func (sel *Selector) omitWithRestart(f int, t1 vectors.Sequence) vectors.Sequenc
 				// interrupt and aborts with ErrInterrupted.
 				return t1
 			}
-			trials++
-			if candidate := t1.OmitAt(i); sel.tryOmit(f, candidate) {
-				t1 = candidate
+			at := perm[p : p+sel.passSize(len(perm)-p, trials)]
+			tried, ok := sel.firstDetecting(f, sel.omissionLanes(t1, at))
+			trials += tried
+			if ok {
+				t1 = t1.OmitAt(at[tried-1])
 				accepted = true
 				break
 			}
+			p += tried
 		}
 		if !accepted {
 			return t1
@@ -493,13 +544,17 @@ func (sel *Selector) omitWithRestart(f int, t1 vectors.Sequence) vectors.Sequenc
 
 // omitSinglePass is the ablation variant: each time unit is considered at
 // most once, in one random order, with accepted omissions applied as the
-// scan proceeds.
+// scan proceeds. A pass speculates on the next candidates against the
+// current sequence; after its first success the scan resumes right
+// behind it, on the shortened sequence.
 func (sel *Selector) omitSinglePass(f int, t1 vectors.Sequence) vectors.Sequence {
 	trials := 0
 	budget := sel.cfg.MaxOmissionTrials
 	omitted := make([]bool, t1.Len())
 	cur := t1
-	for _, orig := range sel.rng.Perm(t1.Len()) {
+	perm := sel.rng.Perm(t1.Len())
+	var at []int
+	for p := 0; p < len(perm); {
 		if cur.Len() == 1 {
 			break
 		}
@@ -509,18 +564,24 @@ func (sel *Selector) omitSinglePass(f int, t1 vectors.Sequence) vectors.Sequence
 		if sel.cfg.interrupted() {
 			break
 		}
-		// Map the original position to its index in the current sequence.
-		idx := 0
-		for j := 0; j < orig; j++ {
-			if !omitted[j] {
-				idx++
+		// Map each original position to its index in the current sequence.
+		at = at[:0]
+		for _, orig := range perm[p : p+sel.passSize(len(perm)-p, trials)] {
+			idx := 0
+			for j := 0; j < orig; j++ {
+				if !omitted[j] {
+					idx++
+				}
 			}
+			at = append(at, idx)
 		}
-		trials++
-		if candidate := cur.OmitAt(idx); sel.tryOmit(f, candidate) {
-			cur = candidate
-			omitted[orig] = true
+		tried, ok := sel.firstDetecting(f, sel.omissionLanes(cur, at))
+		trials += tried
+		if ok {
+			cur = cur.OmitAt(at[tried-1])
+			omitted[perm[p+tried-1]] = true
 		}
+		p += tried
 	}
 	return cur
 }

@@ -46,3 +46,49 @@ func DefaultConfigWithTrials(n, trials int) Config {
 	cfg.MaxOmissionTrials = trials
 	return cfg
 }
+
+// TestInterruptDuringWindowScan cancels Procedure 2 between two passes
+// of its window scan: the scan polls once per pass, so a target whose
+// window needs more than one pass observes an interrupt that fires on
+// the second poll, and FindSubsequence fails with ErrInterrupted without
+// finishing the scan.
+func TestInterruptDuringWindowScan(t *testing.T) {
+	c := iscas.MustLoad("s298")
+	fl := faults.CollapsedUniverse(c)
+	t0 := atpgT0(t, c, fl, 400)
+
+	cfg := DefaultConfig(2)
+	cfg.DisableOmission = true
+	res, err := Select(c, fl, t0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := -1
+	for _, s := range res.Set {
+		if s.UDet-s.UStart >= 8 { // lanes 0-7 of the first pass all fail
+			target = s.TargetFault
+			break
+		}
+	}
+	if target < 0 {
+		t.Fatal("no target needs a window scan longer than one pass")
+	}
+
+	polls := 0
+	cfg.Interrupt = func() bool {
+		polls++
+		return polls == 2
+	}
+	sel, err := NewSelector(c, fl, t0, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sel.Sims()
+	if _, _, err := sel.FindSubsequence(target); !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("FindSubsequence with an interrupt on the second pass: err = %v, want ErrInterrupted", err)
+	}
+	if polls != 2 || sel.Sims()-before != 8 {
+		t.Errorf("scan stopped after %d polls and %d sims, want 2 polls and the 8 sims of the first pass",
+			polls, sel.Sims()-before)
+	}
+}

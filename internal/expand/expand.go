@@ -172,28 +172,11 @@ func (st *Stream) Len() int { return ExpandedLength(len(st.s), st.n) }
 // when a manipulation applies; it must not be assumed to alias the stored
 // sequence.
 func (st *Stream) At(i int) vectors.Vector {
-	total := st.Len()
-	if i < 0 || i >= total {
+	if total := st.Len(); i < 0 || i >= total {
 		panic(fmt.Sprintf("expand: At(%d) out of range [0,%d)", i, total))
 	}
-	half := total / 2 // |S'''|
-	j := i
-	if i >= half {
-		j = total - 1 - i // reversal segment
-	}
-	quarter := half / 2 // |A·B|
-	shifted := false
-	if j >= quarter {
-		shifted = true
-		j -= quarter
-	}
-	nl := quarter / 2 // |A| = n*|S|
-	complemented := false
-	if j >= nl {
-		complemented = true
-		j -= nl
-	}
-	v := st.s[j%len(st.s)]
+	j, complemented, shifted := AllOps.Locate(i, len(st.s), st.n)
+	v := st.s[j]
 	if complemented {
 		v = v.Complement()
 	}
@@ -201,6 +184,33 @@ func (st *Stream) At(i int) vectors.Vector {
 		v = v.ShiftLeftCircular()
 	}
 	return v
+}
+
+// Locate maps time unit i of Compose(s, n, o), for a stored sequence s
+// of length l, back to its source: vector j of s, complemented and/or
+// circularly shifted. It is the address-counter arithmetic of the
+// on-chip controller, so expansions can be streamed without being
+// materialized. i must lie in [0, o.Len(n)*l).
+func (o Ops) Locate(i, l, n int) (j int, complemented, shifted bool) {
+	size := o.Len(n) * l
+	if o&OpReverse != 0 {
+		if size /= 2; i >= size {
+			i = 2*size - 1 - i
+		}
+	}
+	if o&OpShift != 0 {
+		if size /= 2; i >= size {
+			i -= size
+			shifted = true
+		}
+	}
+	if o&OpComplement != 0 {
+		if size /= 2; i >= size {
+			i -= size
+			complemented = true
+		}
+	}
+	return i % l, complemented, shifted
 }
 
 // Next returns the next vector and false when the stream is exhausted.

@@ -137,6 +137,38 @@ func TestStreamMatchesExpand(t *testing.T) {
 	}
 }
 
+// TestLocateMatchesCompose checks the streaming index arithmetic against
+// the materialized expansion for every op subset, including the empty
+// one (no expansion).
+func TestLocateMatchesCompose(t *testing.T) {
+	rng := xrand.New(5)
+	for ops := Ops(0); ops <= AllOps; ops++ {
+		for _, n := range []int{1, 2, 4} {
+			for l := 1; l <= 5; l++ {
+				s := vectors.RandomSequence(rng, 4, l)
+				want := Compose(s, n, ops)
+				if got := ops.Len(n) * l; got != want.Len() {
+					t.Fatalf("ops %04b n=%d l=%d: Len %d, Compose %d", ops, n, l, got, want.Len())
+				}
+				for i := range want {
+					j, comp, shift := ops.Locate(i, l, n)
+					v := s[j]
+					if comp {
+						v = v.Complement()
+					}
+					if shift {
+						v = v.ShiftLeftCircular()
+					}
+					if !v.Equal(want[i]) {
+						t.Fatalf("ops %04b n=%d l=%d: Locate(%d) = (%d,%v,%v) gives %s, want %s",
+							ops, n, l, i, j, comp, shift, v, want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestStreamNextAndReset(t *testing.T) {
 	s := vectors.MustParseSequence("01 10")
 	st := NewStream(s, 1)

@@ -1,6 +1,6 @@
 // Package fsim implements sequential stuck-at fault simulation.
 //
-// Two engines are provided:
+// Three engines are provided:
 //
 //   - Engine (constructed by New with an Options block, see options.go;
 //     the convenience Run wraps it): a parallel-fault simulator packing
@@ -9,11 +9,15 @@
 //     recording. Engine can carry machine state across calls, which the
 //     ATPG substrate uses to evaluate candidate subsequences cheaply
 //     from the current state.
+//   - Batch (batch.go): the dual of Engine, one fault against up to 64
+//     candidate sequences per word, each lane streaming its own expanded
+//     stimulus. Procedure 2 of the paper checks its window and omission
+//     candidates on it.
 //   - Single: a two-machine scalar simulator for one fault with early
-//     exit on detection. Procedure 2 of the paper calls this in its inner
-//     loop thousands of times, so it is allocation-free after creation.
+//     exit on detection, allocation-free after creation; Batch's test
+//     oracle and the per-fault checker of T0 compaction and BIST.
 //
-// Both engines are active-region simulators in the PROOFS tradition:
+// Engine and Single are active-region simulators in the PROOFS tradition:
 // faults are packed into groups by structural locality, each group's
 // static active region (the union of its faults' fanout cones, closed
 // through flip-flops — see cone.go) is precomputed, and each time unit
