@@ -134,7 +134,7 @@ func (e *Engine) stepGroup(sc *scratch, g *group, goodVals []logic.Value, state 
 		activated := false
 		for i := range p.sites {
 			s := &p.sites[i]
-			if s.lanes[0]&alive == 0 {
+			if s.lanes&alive == 0 {
 				continue
 			}
 			if goodVals[s.sig] != s.stuck {

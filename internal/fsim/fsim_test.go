@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"reflect"
 	"testing"
 
 	"seqbist/internal/faults"
@@ -386,4 +387,57 @@ func TestManyFaultsAcrossGroupBoundary(t *testing.T) {
 				i, fl[i].Name(c), det, at, par.Detected[i], par.DetTime[i])
 		}
 	}
+}
+
+// TestForcedModesMatchFull pins ModeQueue and ModeDense: each forced
+// propagation structure must match the full-evaluation reference on its
+// own, under binary and X-heavy stimuli.
+func TestForcedModesMatchFull(t *testing.T) {
+	for _, name := range []string{"s298", "s526"} {
+		c := iscas.MustLoad(name)
+		fl := faults.CollapsedUniverse(c)
+		rng := xrand.New(707)
+		bin := vectors.RandomSequence(rng, c.NumPIs(), 40)
+		xh := xheavySequence(rng, c.NumPIs(), 40)
+		for _, mode := range []Mode{ModeQueue, ModeDense} {
+			opts := Options{Mode: mode}
+			diffCheckOpts(t, name+"/"+mode.String(), c, fl, bin, opts)
+			diffCheckOpts(t, name+"/"+mode.String()+"/xheavy", c, fl, xh, opts)
+		}
+	}
+}
+
+// TestEngineRunReuse pins the Options-API contract that an Engine is
+// reusable: two Run calls on one engine must equal a fresh engine's Run,
+// and an Extend after a Run must start from the reset state.
+func TestEngineRunReuse(t *testing.T) {
+	c := iscas.MustLoad("s298")
+	fl := faults.CollapsedUniverse(c)
+	seq := vectors.RandomSequence(xrand.New(808), c.NumPIs(), 50)
+	e := New(c, fl, Options{Workers: 2})
+	first := e.Run(seq)
+	second := e.Run(seq)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatal("second Run on the same engine differs from the first")
+	}
+	fresh := New(c, fl, Options{}).Run(seq)
+	if !reflect.DeepEqual(first, fresh) {
+		t.Fatal("reused engine differs from a fresh engine")
+	}
+}
+
+// TestOptionsValidation pins the constructor's panic on a meaningless
+// configuration and the zero-value defaults.
+func TestOptionsValidation(t *testing.T) {
+	c := iscas.S27()
+	fl := faults.CollapsedUniverse(c)
+	if got := New(c, fl, Options{}).Options(); got.Workers != 1 || got.Mode != ModeAuto || got.FullEvaluation {
+		t.Fatalf("normalized zero Options = %+v, want Workers=1 Mode=auto", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("mode=99: New did not panic")
+		}
+	}()
+	New(c, fl, Options{Mode: Mode(99)})
 }

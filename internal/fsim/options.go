@@ -1,10 +1,10 @@
 package fsim
 
 // The Engine options surface. One constructor, one options block: every
-// knob the simulator exposes — worker count, lane width, propagation
-// mode, and the full-evaluation reference path — is fixed at
-// construction, so an Engine's behavior never changes under a caller's
-// feet and its methods are safe to call repeatedly in any order.
+// knob the simulator exposes — worker count, propagation mode, and the
+// full-evaluation reference path — is fixed at construction, so an
+// Engine's behavior never changes under a caller's feet and its methods
+// are safe to call repeatedly in any order.
 
 import (
 	"fmt"
@@ -44,20 +44,13 @@ func (m Mode) String() string {
 }
 
 // Options configures an Engine. The zero value is the default
-// configuration: serial, 64 lanes, adaptive propagation.
+// configuration: serial, adaptive propagation. Every group packs 64
+// faulty machines, one per bit of a uint64 word.
 type Options struct {
 	// Workers is the goroutine count for the cone-sharded group
 	// scheduler; 0 or 1 selects the serial path. Any value produces
 	// bit-for-bit identical detection results.
 	Workers int
-
-	// Lanes is the number of faulty machines packed per group: 64 (the
-	// default when 0) simulates one machine per bit of a uint64 word;
-	// 128/256 pack multiple words per group, amortizing region-walk and
-	// queue overhead per evaluated gate at the cost of wider value
-	// operations. Must be a positive multiple of 64. Results are
-	// bit-for-bit identical at every lane width.
-	Lanes int
 
 	// Mode selects the propagation structure; see Mode. ModeQueue and
 	// ModeDense exist for differential testing and diagnosis.
@@ -65,17 +58,8 @@ type Options struct {
 
 	// FullEvaluation selects the flat full-netlist reference path
 	// (fullpath.go) instead of the active-region engine: every gate, every
-	// group, every time unit. It is the differential-testing reference and
-	// requires Lanes == 64.
+	// group, every time unit. It is the differential-testing reference.
 	FullEvaluation bool
-}
-
-// ValidLanes reports whether n is an acceptable Options.Lanes value
-// (0 selects the default width). Layers that accept a lane width from
-// external input use it to reject bad values as errors before they reach
-// New, which panics.
-func ValidLanes(n int) bool {
-	return n == 0 || (n >= 64 && n%64 == 0)
 }
 
 // normalize validates opts and fills defaults. It panics on option
@@ -85,17 +69,8 @@ func (o Options) normalize() Options {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-	if o.Lanes == 0 {
-		o.Lanes = 64
-	}
-	if o.Lanes < 64 || o.Lanes%64 != 0 {
-		panic(fmt.Sprintf("fsim: Options.Lanes must be a positive multiple of 64, got %d", o.Lanes))
-	}
 	if o.Mode != ModeAuto && o.Mode != ModeQueue && o.Mode != ModeDense {
 		panic(fmt.Sprintf("fsim: unknown Options.Mode %d", int(o.Mode)))
-	}
-	if o.FullEvaluation && o.Lanes != 64 {
-		panic("fsim: Options.FullEvaluation requires Lanes == 64")
 	}
 	return o
 }
@@ -112,7 +87,6 @@ func New(c *netlist.Circuit, fl []faults.Fault, opts Options) *Engine {
 		csr:       c.CSR(),
 		fl:        fl,
 		opts:      opts,
-		nw:        opts.Lanes / 64,
 		good:      sim.New(c),
 		goodPO:    make([]logic.Value, c.NumPOs()),
 		peekSim:   sim.New(c),
@@ -122,17 +96,13 @@ func New(c *netlist.Circuit, fl []faults.Fault, opts Options) *Engine {
 		detected:  make([]bool, len(fl)),
 		detTime:   make([]int, len(fl)),
 		entryGood: make([]logic.Value, c.NumDFFs()),
+		sc:        newScratch(c),
 	}
 	e.goodState = e.good.InitialState()
 	e.peekState = make([]logic.Value, c.NumDFFs())
 	e.stride = earlyExitStride(c)
 	for i := range e.detTime {
 		e.detTime[i] = Undetected
-	}
-	if e.nw == 1 {
-		e.sc = newScratch(c)
-	} else {
-		e.wsc = newWScratch(c, e.nw)
 	}
 	e.buildGroups()
 	return e
@@ -187,9 +157,6 @@ func (e *Engine) Reset() {
 		g.lastEval = 0
 		g.hotCalls = 0
 		g.escalated = false
-	}
-	for gi := range e.wgroups {
-		e.wgroups[gi].reset()
 	}
 	// Detection dropped groups from the shards' balance; force a rebuild.
 	e.shards = nil

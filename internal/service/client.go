@@ -74,38 +74,21 @@ func (c *Client) baseDelay() time.Duration {
 	return 200 * time.Millisecond
 }
 
-// apiError is the structured error body every non-2xx response carries:
-// the typed envelope of errors.go. The `error` field is kept raw so the
-// pre-envelope bare-string form still decodes (servers one release back).
-type apiError struct {
-	Error       json.RawMessage `json:"error"`
-	ErrorString string          `json:"error_string"`
-}
-
-// detail extracts the typed detail, tolerating the legacy shapes: an
-// `error` object, a bare `error` string, or only the transitional
-// `error_string`. ok reports whether anything usable was present.
-func (ae *apiError) detail() (ErrorDetail, bool) {
-	var d ErrorDetail
-	if len(ae.Error) > 0 {
-		if json.Unmarshal(ae.Error, &d) == nil && (d.Code != "" || d.Message != "") {
-			return d, true
-		}
-		var s string
-		if json.Unmarshal(ae.Error, &s) == nil && s != "" {
-			return ErrorDetail{Message: s}, true
-		}
+// errorDetail decodes the typed envelope of errors.go from an error
+// response body. ok is false when the body is not an envelope or carries
+// neither a code nor a message (a proxy answering for the daemon).
+func errorDetail(body io.Reader) (d ErrorDetail, ok bool) {
+	var env errorEnvelope
+	if json.NewDecoder(body).Decode(&env) != nil {
+		return d, false
 	}
-	if ae.ErrorString != "" {
-		return ErrorDetail{Message: ae.ErrorString}, true
-	}
-	return d, false
+	return env.Error, env.Error.Code != "" || env.Error.Message != ""
 }
 
 // retryableStatus reports whether an HTTP status is worth retrying: the
 // server said "not now", not "never". The status fallback applies when
-// the body carried no machine-readable code (an old server, or a proxy
-// answering for it).
+// the body carried no machine-readable code (a proxy answering for the
+// daemon, or a body that is not an envelope).
 func retryableStatus(code int) bool {
 	return code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable
 }
@@ -187,20 +170,14 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 				}
 				return json.NewDecoder(resp.Body).Decode(out)
 			}
-			var ae apiError
 			retry := retryableStatus(resp.StatusCode)
-			if json.NewDecoder(resp.Body).Decode(&ae) == nil {
-				if d, ok := ae.detail(); ok {
-					if d.Code != "" {
-						retry = retryableCode(d.Code)
-						lastErr = fmt.Errorf("%s %s: %s (%s, HTTP %d)", method, path, d.Message, d.Code, resp.StatusCode)
-					} else {
-						lastErr = fmt.Errorf("%s %s: %s (HTTP %d)", method, path, d.Message, resp.StatusCode)
-					}
-				} else {
-					lastErr = fmt.Errorf("%s %s: HTTP %d", method, path, resp.StatusCode)
-				}
-			} else {
+			switch d, ok := errorDetail(resp.Body); {
+			case ok && d.Code != "":
+				retry = retryableCode(d.Code)
+				lastErr = fmt.Errorf("%s %s: %s (%s, HTTP %d)", method, path, d.Message, d.Code, resp.StatusCode)
+			case ok:
+				lastErr = fmt.Errorf("%s %s: %s (HTTP %d)", method, path, d.Message, resp.StatusCode)
+			default:
 				lastErr = fmt.Errorf("%s %s: HTTP %d", method, path, resp.StatusCode)
 			}
 			_ = resp.Body.Close() // error body already consumed
@@ -363,11 +340,8 @@ func (c *Client) streamOnce(ctx context.Context, id string, next *int, fn func(S
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var ae apiError
-		if json.NewDecoder(resp.Body).Decode(&ae) == nil {
-			if d, ok := ae.detail(); ok {
-				return &streamErr{fmt.Errorf("stream sweep %s: %s (HTTP %d)", id, d.Message, resp.StatusCode)}
-			}
+		if d, ok := errorDetail(resp.Body); ok {
+			return &streamErr{fmt.Errorf("stream sweep %s: %s (HTTP %d)", id, d.Message, resp.StatusCode)}
 		}
 		return &streamErr{fmt.Errorf("stream sweep %s: HTTP %d", id, resp.StatusCode)}
 	}

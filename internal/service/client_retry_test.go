@@ -11,10 +11,11 @@ import (
 	"time"
 )
 
-// TestClientRetriesTransient503 pins the retry loop: a daemon answering
-// 503 (degraded or full) is retried with backoff until it recovers, the
-// request body is replayed intact on every attempt, and Retry-After is
-// honored when present.
+// TestClientRetriesTransient503 pins the retry loop: a 503 is retried
+// with backoff until the server recovers, the request body is replayed
+// intact on every attempt, and Retry-After is honored when present. The
+// 503 body is a bare string, not the typed envelope, so this also pins
+// that a body the client cannot decode still retries by status.
 func TestClientRetriesTransient503(t *testing.T) {
 	var calls atomic.Int32
 	var bodies []string
@@ -57,13 +58,14 @@ func TestClientRetriesTransient503(t *testing.T) {
 }
 
 // TestClientNoRetryOnClientError pins that 4xx (other than 429) is
-// terminal: a bad spec is the caller's bug, not the server's mood.
+// terminal: a bad spec is the caller's bug, not the server's mood. The
+// envelope carries no code, so the status alone decides.
 func TestClientNoRetryOnClientError(t *testing.T) {
 	var calls atomic.Int32
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls.Add(1)
 		w.WriteHeader(http.StatusBadRequest)
-		w.Write([]byte(`{"error":"unknown circuit"}`))
+		w.Write([]byte(`{"error":{"message":"unknown circuit"}}`))
 	}))
 	defer srv.Close()
 
@@ -235,7 +237,7 @@ func TestClientTypedEnvelopeClassification(t *testing.T) {
 		if calls.Add(1) == 1 {
 			w.Header().Set("Retry-After", "1")
 			w.WriteHeader(http.StatusTooManyRequests)
-			w.Write([]byte(`{"error":{"code":"quota_exceeded","message":"tenant \"alpha\" over queued_jobs quota (limit 2)","retry_after_s":1},"error_string":"tenant \"alpha\" over queued_jobs quota (limit 2)"}`))
+			w.Write([]byte(`{"error":{"code":"quota_exceeded","message":"tenant \"alpha\" over queued_jobs quota (limit 2)","retry_after_s":1}}`))
 			return
 		}
 		w.WriteHeader(http.StatusAccepted)
@@ -264,7 +266,7 @@ func TestClientTypedEnvelopeClassification(t *testing.T) {
 	srv2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		calls2.Add(1)
 		w.WriteHeader(http.StatusServiceUnavailable)
-		w.Write([]byte(`{"error":{"code":"internal","message":"wedged"},"error_string":"wedged"}`))
+		w.Write([]byte(`{"error":{"code":"internal","message":"wedged"}}`))
 	}))
 	defer srv2.Close()
 	c2 := &Client{BaseURL: srv2.URL, RetryBaseDelay: time.Millisecond}

@@ -191,11 +191,12 @@ func TestBenchUploadErrors(t *testing.T) {
 
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// Job upload route. The body is the typed envelope; the
-			// legacy error_string mirror must match for one release.
-			var errBody errorEnvelope
+			// Job upload route. The body is the typed envelope and
+			// nothing else.
+			var raw json.RawMessage
 			code := httpJSON(t, client, "POST", ts.URL+"/v1/jobs",
-				JobSpec{Bench: tc.bench, Config: tinyCfg()}, &errBody)
+				JobSpec{Bench: tc.bench, Config: tinyCfg()}, &raw)
+			errBody := decodeEnvelope(t, raw)
 			if code != http.StatusBadRequest {
 				t.Fatalf("job upload: status %d (%s)", code, errBody.Error.Message)
 			}
@@ -205,16 +206,14 @@ func TestBenchUploadErrors(t *testing.T) {
 			if errBody.Error.Code != CodeInvalidSpec {
 				t.Errorf("job error code %q, want %q", errBody.Error.Code, CodeInvalidSpec)
 			}
-			if errBody.ErrorString != errBody.Error.Message {
-				t.Errorf("legacy error_string %q diverges from message %q", errBody.ErrorString, errBody.Error.Message)
-			}
 			// Sweep upload route: same body as a member, same 400, and the
 			// member index is located.
 			code = httpJSON(t, client, "POST", ts.URL+"/v1/sweeps",
 				SweepSpec{
 					Circuits: []CircuitRef{{Circuit: "s27"}, {Bench: tc.bench}},
 					Config:   tinyCfg(),
-				}, &errBody)
+				}, &raw)
+			errBody = decodeEnvelope(t, raw)
 			if code != http.StatusBadRequest {
 				t.Fatalf("sweep upload: status %d (%s)", code, errBody.Error.Message)
 			}

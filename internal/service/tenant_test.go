@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -150,19 +151,24 @@ func TestTenantHTTPMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var env errorEnvelope
-		decodeJSONBody(t, resp, &env)
-		return resp, env
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode < 400 {
+			return resp, errorEnvelope{}
+		}
+		return resp, decodeEnvelope(t, raw)
 	}
 
 	jobBody := `{"circuit":"s27","config":{"n":1,"atpg_max_len":40,"max_omission_trials":5}}`
 
-	// Unknown key: 401, typed envelope, legacy mirror intact.
+	// Unknown key: 401, typed envelope and nothing else.
 	resp, env := post("/v1/jobs", "Bearer wrong", jobBody)
 	if resp.StatusCode != http.StatusUnauthorized {
 		t.Fatalf("unknown key: %d, want 401", resp.StatusCode)
 	}
-	if env.Error.Code != CodeUnauthorized || env.Error.Message == "" || env.ErrorString != env.Error.Message {
+	if env.Error.Code != CodeUnauthorized || env.Error.Message == "" {
 		t.Fatalf("401 envelope %+v", env)
 	}
 
@@ -344,6 +350,25 @@ func TestTenantPersistRoundTrip(t *testing.T) {
 }
 
 // decodeJSONBody decodes resp's body into out.
+// decodeEnvelope decodes an error response body as the typed envelope,
+// failing the test unless "error" is the body's only top-level key: the
+// envelope carries no mirror of the message beside it.
+func decodeEnvelope(t *testing.T, body []byte) errorEnvelope {
+	t.Helper()
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(body, &keys); err != nil {
+		t.Fatalf("error body %s: %v", body, err)
+	}
+	if _, ok := keys["error"]; !ok || len(keys) != 1 {
+		t.Fatalf("error body %s: want \"error\" as the only top-level key", body)
+	}
+	var env errorEnvelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		t.Fatalf("error body %s: %v", body, err)
+	}
+	return env
+}
+
 func decodeJSONBody(t *testing.T, resp *http.Response, out any) {
 	t.Helper()
 	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"seqbist/internal/fsim"
 	"seqbist/internal/strategy"
 )
 
@@ -33,8 +32,8 @@ func validateGenConfig(g GenConfig) error {
 	if g.Strategy != "" && !strategy.Valid(g.Strategy) {
 		return fmt.Errorf("unknown strategy %q (have %v)", g.Strategy, strategy.Names())
 	}
-	if !fsim.ValidLanes(g.Lanes) {
-		return fmt.Errorf("lanes %d: must be 0 or a multiple of 64", g.Lanes)
+	if g.Lanes != 0 && g.Lanes != 64 {
+		return fmt.Errorf("lanes %d: must be 0 or 64", g.Lanes)
 	}
 	if g.N < 0 {
 		return fmt.Errorf("n %d: must be non-negative", g.N)

@@ -31,7 +31,7 @@ import (
 
 const (
 	walDirName  = "wal"
-	legacyWAL   = "wal.log" // pre-segmentation single shared log
+	legacyWAL   = "wal.log" // pre-segmentation single shared log, refused at Open
 	manifestTag = "manifest"
 	sealedExt   = "sealed"
 	logExt      = "log"

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 // This file tests the segmented WAL's online machinery: compaction
 // rounds racing live writers, crashes inside a compaction round
 // (mid-manifest-swap, mid-seal, stale epoch claims), generation GC,
-// incremental refresh, and the legacy single-file migration path.
+// incremental refresh, and the refusal of a leftover single-file log.
 
 // openSharedOpts opens a shared handle with explicit compaction
 // settings (auto-compaction off unless the test asks for it).
@@ -444,96 +445,36 @@ func BenchmarkRefreshIncremental(b *testing.B) {
 	}
 }
 
-// TestLegacyWALMigration hand-writes a pre-segmentation wal.log (the
-// single shared log format of earlier releases) and checks the
-// segmented store replays it, layers new segmented writes on top, and
-// retires the legacy file only once a snapshot covering it has been on
-// disk for a full round (closing the race with a reader that loaded
-// the previous snapshot and is about to read wal.log).
-func TestLegacyWALMigration(t *testing.T) {
-	dir := t.TempDir()
-	legacy := []walEntry{
-		{LSN: 1, Type: "job", Data: mustJSON(t, jobRec(1, "queued"))},
-		{LSN: 2, Type: "job", Data: mustJSON(t, jobRec(2, "done"))},
-		{LSN: 3, Type: "sweep", Data: mustJSON(t, sweepRec(1, "running"))},
-		{LSN: 4, Type: "event", Data: mustJSON(t, eventRec(1, 0))},
-		{LSN: 5, Node: "old", Type: "claim", Data: mustJSON(t, ClaimRecord{
-			JobID: "job-000001", Node: "old", Time: t0, Expires: t0.Add(time.Hour),
-		})},
-	}
-	var buf []byte
-	for _, ent := range legacy {
-		line, err := frameEntry(ent)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf = append(buf, line...)
-	}
-	if err := os.WriteFile(filepath.Join(dir, legacyWAL), buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := Open(Options{Dir: dir, CompactBytes: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ := d.Load()
-	if len(got.Jobs) != 2 || len(got.Sweeps) != 1 || len(got.Events["sweep-0001"]) != 1 {
-		t.Fatalf("legacy replay incomplete: %s", dumpState(got))
-	}
-	claims, _ := d.Claims()
-	if claims["job-000001"].Node != "old" {
-		t.Fatalf("legacy claim lost: %v", claims)
-	}
-	// New writes land in the segmented log alongside the legacy file.
-	mustDo(t, d.PutJob(jobRec(3, "queued")))
-	if _, err := os.Stat(filepath.Join(dir, legacyWAL)); err != nil {
-		t.Fatalf("legacy wal.log touched before any compaction: %v", err)
-	}
-	// Round one snapshots (wal.log stays: the previous snapshot did not
-	// cover it); round two retires it.
-	mustDo(t, d.Compact())
-	if _, err := os.Stat(filepath.Join(dir, legacyWAL)); err != nil {
-		t.Fatalf("legacy wal.log deleted one round early: %v", err)
-	}
-	mustDo(t, d.Compact())
-	if _, err := os.Stat(filepath.Join(dir, legacyWAL)); !os.IsNotExist(err) {
-		t.Fatalf("legacy wal.log not retired after two rounds: %v", err)
-	}
-	d.crash()
-
-	d2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	got2, _ := d2.Load()
-	if len(got2.Jobs) != 3 {
-		t.Fatalf("post-migration replay lost records: %s", dumpState(got2))
-	}
-}
-
-// TestLegacyWALStrictTail pins the exclusive-mode handling of a torn
-// legacy log: the tail is truncated, mid-log damage is refused (the
-// same contract the segmented files honor).
-func TestLegacyWALStrictTail(t *testing.T) {
+// TestLegacyWALRefused pins that a leftover pre-segmentation wal.log is
+// refused, not ignored: it may hold acknowledged state this build no
+// longer replays, so Open fails with a permanent error naming the file
+// and the way to migrate it, on exclusive and shared handles alike, and
+// leaves the directory untouched.
+func TestLegacyWALRefused(t *testing.T) {
 	dir := t.TempDir()
 	line, err := frameEntry(walEntry{LSN: 1, Type: "job", Data: mustJSON(t, jobRec(1, "queued"))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	torn := line + `deadbeef {"lsn":2,"t":"job","d":{"id":"job-to`
-	if err := os.WriteFile(filepath.Join(dir, legacyWAL), []byte(torn), 0o644); err != nil {
+	path := filepath.Join(dir, legacyWAL)
+	if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
+	for _, node := range []string{"", "a"} {
+		d, err := Open(Options{Dir: dir, NodeID: node})
+		if err == nil {
+			d.Close()
+			t.Fatalf("node %q: Open accepted a directory holding %s", node, legacyWAL)
+		}
+		if !IsPermanent(err) || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "earlier seqbist build") {
+			t.Fatalf("node %q: want a permanent error naming %s and the migration path, got %v", node, path, err)
+		}
 	}
-	defer d.Close()
-	got, _ := d.Load()
-	if len(got.Jobs) != 1 || !d.Stats().TruncatedTail {
-		t.Fatalf("legacy torn tail mishandled: %d jobs, truncated=%v", len(got.Jobs), d.Stats().TruncatedTail)
+	if got, err := os.ReadFile(path); err != nil || string(got) != line {
+		t.Fatalf("%s changed by a refused Open: %q, %v", legacyWAL, got, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, walDirName)); !os.IsNotExist(err) {
+		t.Fatalf("refused Open created %s/: %v", walDirName, err)
 	}
 }
 
