@@ -20,10 +20,11 @@
 // With -tenants pointing at a tenant config file, submissions
 // authenticate with "Authorization: Bearer <key>", per-tenant quotas
 // and rate budgets gate admission, and queued work is claimed by
-// weighted fair share instead of strict FIFO (see API.md
-// "Multi-tenancy" and scripts/fairness_e2e.sh):
+// weighted fair share instead of strict FIFO — on a lone daemon as on a
+// cluster member (see API.md "Multi-tenancy" and
+// scripts/fairness_e2e.sh):
 //
-//	seqbistd -addr :8080 -data-dir ./d -node-id n1 -tenants tenants.json
+//	seqbistd -addr :8080 -tenants tenants.json
 //
 // API (full reference with schemas in API.md):
 //
@@ -51,21 +52,21 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 4, "synthesis worker-pool size")
-	queue := flag.Int("queue", 64, "pending-job queue capacity")
+	queue := flag.Int("queue", 64, "maximum queued direct submissions; one more is answered 503 queue_full (sweep members do not count)")
 	cacheSize := flag.Int("cache", 128, "result-cache entries (negative disables)")
 	simWorkers := flag.Int("sim-workers", 0, "per-job fault-simulation goroutines (0 = one per CPU)")
 	maxSweep := flag.Int("max-sweep-members", 0, "max circuits per sweep (0 = default 64)")
 	maxBench := flag.Int64("max-bench-bytes", 0, "uploaded .bench size cap in bytes (0 = default 1 MiB, negative = unlimited)")
 	maxSignals := flag.Int("max-bench-signals", 0, "uploaded netlist signal cap (0 = default 250k, negative = unlimited)")
-	dataDir := flag.String("data-dir", "", "persistence directory: jobs, sweeps, event logs, and results survive restarts and crashes (empty = in-memory only)")
+	dataDir := flag.String("data-dir", "", "persistence directory: jobs, sweeps, event logs, and results survive restarts and crashes (empty = a private in-memory store, forgotten on exit)")
 	fsync := flag.Bool("fsync", true, "with -data-dir, fsync the record log after every write (survives power loss; -fsync=false trades that for lower write latency and still survives SIGKILL)")
 	compactBytes := flag.Int64("compact-bytes", 0, "with -data-dir, log size that triggers an online compaction round (0 = default 8 MiB, negative disables automatic compaction)")
 	staleAfter := flag.Duration("stale-after", 0, "with -data-dir, how long a cluster member may go silent before compaction stops waiting for it and GC reclaims past its watermark (0 = default 30s)")
 	nodeID := flag.String("node-id", "", "cluster identity: daemons started with distinct -node-id values on one shared -data-dir cooperatively drain a single queue, stealing a killed member's leases (requires -data-dir)")
-	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "with -node-id, how long a claimed job stays fenced to its claimant without renewal")
+	leaseTTL := flag.Duration("lease-ttl", 10*time.Second, "how long a claimed job stays fenced to its claimant without renewal (matters with -node-id, where peers steal expired leases)")
 	rate := flag.Float64("rate", 0, "per-client submissions/second accepted on POST /v1/jobs and /v1/sweeps before answering 429 (0 = unlimited; a tenant's configured rate overrides this for its bucket)")
 	rateBurst := flag.Int("rate-burst", 0, "with -rate, token-bucket burst depth (0 = max(1, ceil(rate)))")
-	tenantsFile := flag.String("tenants", "", "multi-tenant config file: {\"tenants\":[{\"name\",\"key\",\"weight\",\"priority\",\"max_queued_jobs\",\"max_active_sweeps\",\"rate\",\"rate_burst\"}]}; submissions authenticate with 'Authorization: Bearer <key>' and are scheduled by weighted fair share (empty = single-tenant mode, everything anonymous)")
+	tenantsFile := flag.String("tenants", "", "multi-tenant config file: {\"tenants\":[{\"name\",\"key\",\"weight\",\"priority\",\"max_queued_jobs\",\"max_active_sweeps\",\"rate\",\"rate_burst\"}]}; submissions authenticate with 'Authorization: Bearer <key>' and queued work is claimed by weighted fair share, with or without -data-dir (empty = single-tenant mode, everything anonymous)")
 	defaultStrategy := flag.String("default-strategy", "", "strategy applied to submissions that set none: greedy, restart, anneal, genetic, or race (empty = greedy)")
 	probeInterval := flag.Duration("probe-interval", 0, "with -data-dir, how often a degraded daemon probes the store for recovery — also the Retry-After it advertises on 503 (0 = default 2s)")
 	shutdownTimeout := flag.Duration("shutdown-timeout", 0, "graceful-shutdown drain bound before in-flight HTTP requests are abandoned (0 = default 10s)")

@@ -63,11 +63,6 @@ import (
 // bookkeeping must not thread through every simulation call site.
 var patternsApplied atomic.Int64
 
-// PatternsApplied returns the cumulative number of input vectors applied
-// by the fault-simulation engines in this process (see patternsApplied
-// for the counting semantics).
-func PatternsApplied() int64 { return patternsApplied.Load() }
-
 // Undetected is the detection time reported for faults a sequence does not
 // detect.
 const Undetected = -1
@@ -142,7 +137,7 @@ type Engine struct {
 	goodState []logic.Value
 	goodPO    []logic.Value
 
-	// Pooled non-committing good machine for Evaluate/Peek.
+	// Pooled non-committing good machine for Evaluate.
 	peekSim   *sim.Simulator
 	peekState []logic.Value
 	peekPO    []logic.Value
@@ -175,9 +170,6 @@ type Engine struct {
 	// fullEval selects the full-netlist evaluation path (fullpath.go);
 	// the Options.FullEvaluation reference mode.
 	fullEval bool
-
-	// singleSim is the pooled scalar simulator behind Engine.Single.
-	singleSim *Single
 
 	// estat accumulates this engine's share of the efficiency counters;
 	// Engine.Stats returns a snapshot. The process-wide counters
@@ -576,21 +568,15 @@ func (e *Engine) mergeDetections(dets []detection, seqLen int) []int {
 	return newly
 }
 
-// Peek simulates seq from the current state without committing any state
-// or detection bookkeeping, and returns the indices of live faults that
-// seq would newly detect.
-func (e *Engine) Peek(seq vectors.Sequence) []int {
-	newly, _ := e.Evaluate(seq)
-	return newly
-}
-
-// Evaluate is Peek plus a search heuristic: divergence counts the live
-// undetected faults whose machine state, after seq, definitely differs
-// from the fault-free state in at least one flip-flop. Simulation-based
-// test generators (the GA fitness of STRATEGATE and relatives) use this
-// as a secondary objective — a candidate that drives fault effects into
-// the state brings those faults closer to detection even when it detects
-// nothing itself.
+// Evaluate simulates seq from the current state without committing any
+// state or detection bookkeeping. It returns the indices of live faults
+// that seq would newly detect, plus a search heuristic: divergence
+// counts the live undetected faults whose machine state, after seq,
+// definitely differs from the fault-free state in at least one
+// flip-flop. Simulation-based test generators (the GA fitness of
+// STRATEGATE and relatives) use this as a secondary objective — a
+// candidate that drives fault effects into the state brings those
+// faults closer to detection even when it detects nothing itself.
 //
 // Evaluate is the ATPG inner loop and is allocation-free in the steady
 // state: the good-value trace, the peek simulator, and all propagation
@@ -705,9 +691,6 @@ func (e *Engine) Result() Result {
 
 // NumDetected returns the number of faults detected so far.
 func (e *Engine) NumDetected() int { return e.numDet }
-
-// Now returns the number of time units simulated so far.
-func (e *Engine) Now() int { return e.now }
 
 // GoodState returns the current fault-free flip-flop state (live view).
 func (e *Engine) GoodState() []logic.Value { return e.goodState }

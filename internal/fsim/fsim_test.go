@@ -137,43 +137,46 @@ func TestIncrementalExtendMatchesOneShot(t *testing.T) {
 				split.Detected[i], split.DetTime[i], oneShot.Detected[i], oneShot.DetTime[i])
 		}
 	}
-	if inc.Now() != t0.Len() {
-		t.Errorf("Now() = %d, want %d", inc.Now(), t0.Len())
-	}
 }
 
-func TestPeekDoesNotCommit(t *testing.T) {
+func TestEvaluateDoesNotCommit(t *testing.T) {
 	c := iscas.S27()
 	fl := faults.CollapsedUniverse(c)
 	t0 := s27T0()
+	oneShot := Run(c, fl, t0)
 
 	inc := New(c, fl, Options{})
 	inc.Extend(t0[:2])
 	before := inc.Result()
 
-	peeked := inc.Peek(t0[2:])
+	evaluated, _ := inc.Evaluate(t0[2:])
 	after := inc.Result()
 	for i := range fl {
 		if before.Detected[i] != after.Detected[i] {
-			t.Fatal("Peek changed detection state")
+			t.Fatal("Evaluate changed detection state")
 		}
 	}
-	if inc.Now() != 2 {
-		t.Fatal("Peek advanced time")
-	}
 
-	// Peek's prediction must match what Extend then reports.
+	// Evaluate's prediction must match what Extend then reports.
 	newly := inc.Extend(t0[2:])
-	if len(peeked) != len(newly) {
-		t.Fatalf("Peek predicted %d new detections, Extend delivered %d", len(peeked), len(newly))
+	if len(evaluated) != len(newly) {
+		t.Fatalf("Evaluate predicted %d new detections, Extend delivered %d", len(evaluated), len(newly))
 	}
 	seen := make(map[int]bool)
-	for _, fi := range peeked {
+	for _, fi := range evaluated {
 		seen[fi] = true
 	}
 	for _, fi := range newly {
 		if !seen[fi] {
-			t.Fatalf("Extend detected fault %d that Peek missed", fi)
+			t.Fatalf("Extend detected fault %d that Evaluate missed", fi)
+		}
+	}
+	// Detection times match the one-shot run only if Evaluate left the
+	// engine's clock where Extend(t0[:2]) put it.
+	split := inc.Result()
+	for i := range fl {
+		if split.DetTime[i] != oneShot.DetTime[i] {
+			t.Fatalf("fault %d: det time %d after Evaluate+Extend, one-shot %d", i, split.DetTime[i], oneShot.DetTime[i])
 		}
 	}
 }

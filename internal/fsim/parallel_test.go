@@ -64,9 +64,6 @@ func TestParallelExtendOrderAndState(t *testing.T) {
 			t.Fatalf("chunk [%d,%d): newly detected differ: serial %v, parallel %v",
 				start, end, ns, np)
 		}
-		if serial.Now() != par.Now() {
-			t.Fatalf("chunk [%d,%d): Now %d != %d", start, end, serial.Now(), par.Now())
-		}
 	}
 	rs, rp := serial.Result(), par.Result()
 	if !reflect.DeepEqual(rs, rp) {

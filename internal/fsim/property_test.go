@@ -1,6 +1,7 @@
 package fsim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -69,19 +70,21 @@ func TestDetectionSubsetUnderConcatenation(t *testing.T) {
 	}
 }
 
-// TestEvaluateDivergenceNonNegative and consistency with Peek.
-func TestEvaluateMatchesPeek(t *testing.T) {
+// TestEvaluateRepeatable checks that Evaluate is a pure function of the
+// committed state: a second call over the same sequence reports the same
+// detections and divergence, and divergence is never negative.
+func TestEvaluateRepeatable(t *testing.T) {
 	c := iscas.S27()
 	fl := faults.CollapsedUniverse(c)
 	inc := New(c, fl, Options{})
 	seq := vectors.RandomSequence(xrand.New(5), c.NumPIs(), 10)
-	newlyA, div := inc.Evaluate(seq)
-	newlyB := inc.Peek(seq)
-	if len(newlyA) != len(newlyB) {
-		t.Fatalf("Evaluate found %d, Peek %d", len(newlyA), len(newlyB))
+	newlyA, divA := inc.Evaluate(seq)
+	newlyB, divB := inc.Evaluate(seq)
+	if !reflect.DeepEqual(newlyA, newlyB) || divA != divB {
+		t.Fatalf("repeated Evaluate differs: %v/%d vs %v/%d", newlyA, divA, newlyB, divB)
 	}
-	if div < 0 {
-		t.Fatalf("negative divergence %d", div)
+	if divA < 0 {
+		t.Fatalf("negative divergence %d", divA)
 	}
 }
 

@@ -14,10 +14,11 @@ import (
 	"seqbist/internal/vectors"
 )
 
-// This file is the cluster side of the service: the claim loop that
+// This file is the service's only dispatch path: the claim loop that
 // lets any number of daemons sharing one store cooperatively drain one
-// queue. Dispatch in cluster mode is pull-based — a submission becomes
-// a durable queued record (see submitJob), and every member's loop
+// queue (a lone daemon is a one-member cluster over its own store).
+// Dispatch is pull-based — a submission becomes a durable queued record
+// (see submitJob), and every member's loop
 //
 //  1. heartbeats and pulls the *incremental* record delta since its
 //     previous tick (store.Changes), folding it into a local mirror so
@@ -40,7 +41,8 @@ import (
 // members agree on each lease's holder. See DESIGN.md §10 and §12.
 
 // clusterLoop runs until Close; ticks are paced by PollInterval and
-// nudged early by local submissions.
+// nudged early by local submissions, finished executions, and recovered
+// orphans.
 func (s *Service) clusterLoop() {
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.PollInterval)
@@ -57,11 +59,9 @@ func (s *Service) clusterLoop() {
 }
 
 // nudgeCluster asks the claim loop to tick ahead of schedule (local
-// submissions should not wait out a poll interval).
+// submissions and freed worker slots should not wait out a poll
+// interval).
 func (s *Service) nudgeCluster() {
-	if !s.clustered() {
-		return
-	}
 	select {
 	case s.clusterWake <- struct{}{}:
 	default:
@@ -87,6 +87,9 @@ func (s *Service) clusterTick(now time.Time) {
 		s.lastHeartbeat = now
 	}
 	s.renewLeases(now)
+	if s.degraded.Load() {
+		s.startUnpublished(now)
+	}
 	delta, cursor, err := s.store.Changes(s.changeCursor)
 	if err != nil {
 		s.noteStoreErr(err)
@@ -103,12 +106,13 @@ func (s *Service) clusterTick(now time.Time) {
 	results := make(map[string]*Result) // per-tick result-fetch memo
 	s.observeRemote(jobs, results, now)
 	if !s.degraded.Load() {
-		// A degraded node takes on no new work: it cannot persist the
-		// terminal records, and every claim it wins fences a healthy
-		// peer out for a lease TTL. Claims are attempted in the fair-share
-		// order (schedule.go), not raw Seq order: terminal records first,
-		// then running (steal candidates), then the queued backlog under
-		// weighted deficit-round-robin by tenant.
+		// A degraded node takes on no new work (startUnpublished above
+		// aside): it cannot persist the terminal records, and every
+		// claim it wins fences a healthy peer out for a lease TTL.
+		// Claims are attempted in the fair-share order (schedule.go),
+		// not raw Seq order: terminal records first, then running
+		// (steal candidates), then the queued backlog under weighted
+		// deficit-round-robin by tenant.
 		s.claimWork(s.scheduleRecords(jobs), claims, results, s.degradedPeers(), now)
 	}
 	s.pruneMirror()
@@ -227,7 +231,7 @@ func (s *Service) renewLeases(now time.Time) {
 // a non-terminal state). A lease already lost to a thief is not
 // released — the thief owns it now. Callers hold s.mu.
 func (s *Service) releaseLeaseLocked(ex *execution) {
-	if !s.clustered() || ex.leaseID == "" {
+	if ex.leaseID == "" {
 		return
 	}
 	if s.leases[ex.leaseID] == ex {
@@ -420,10 +424,10 @@ func (s *Service) claimWork(jobs []store.JobRecord, claims map[string]store.Clai
 		}
 		if ex := s.leases[rec.ID]; ex != nil && st == StateCanceled {
 			// The submitter canceled a job we are executing. Mirror the
-			// single-daemon Cancel contract: only the canceled job
-			// detaches; the run itself is interrupted (Procedure 1
-			// polls the hook between trials) only when no coalesced
-			// observer remains attached.
+			// local Cancel contract: only the canceled job detaches; the
+			// run itself is interrupted (Procedure 1 polls the hook
+			// between trials) only when no coalesced observer remains
+			// attached.
 			if j := s.jobs[rec.ID]; j != nil && j.exec == ex && !j.state.Terminal() {
 				j.state = StateCanceled
 				j.err = context.Canceled
@@ -561,10 +565,24 @@ func (s *Service) startClaimed(rec *store.JobRecord, results map[string]*Result,
 	if j.c == nil {
 		j.c, j.t0, j.cfg = c, t0, cfg
 	}
+	held := s.startLocked(j, rec.ID, now)
+	s.mu.Unlock()
+	if !held {
+		release()
+	}
+}
+
+// startLocked hands j to the worker pool under leaseID (empty for an
+// unleased run; see startUnpublished). If an identical run is already
+// in flight locally, j attaches to it (in-flight coalescing) — the run's
+// terminal commit covers j's record — and the lease is not needed.
+// Otherwise a new execution holding the lease is pushed onto the worker
+// channel. Reports whether the execution holds leaseID; false means the
+// caller should give the lease back (coalesced, or no worker room — a
+// less-loaded member takes it then). Callers hold s.mu, and j carries
+// its resolved inputs.
+func (s *Service) startLocked(j *job, leaseID string, now time.Time) bool {
 	if other, ok := s.inflight[j.key]; ok {
-		// An identical run is already in flight locally under another
-		// job: attach (in-flight coalescing) and give the lease back —
-		// the run's terminal commit covers j's record.
 		j.exec = other
 		j.state = StateQueued
 		if other.started {
@@ -573,30 +591,43 @@ func (s *Service) startClaimed(rec *store.JobRecord, results map[string]*Result,
 		}
 		other.jobs = append(other.jobs, j)
 		s.metrics.jobsCoalesced.Add(1)
-		s.mu.Unlock()
-		release()
-		return
+		return false
 	}
 	ex := &execution{key: j.key, c: j.c, t0: j.t0, cfg: j.cfg,
-		leaseID: rec.ID, leaseExpiry: now.Add(s.cfg.LeaseTTL)}
+		leaseID: leaseID, leaseExpiry: now.Add(s.cfg.LeaseTTL)}
 	ex.ctx, ex.cancel = context.WithCancel(s.rootCtx)
 	ex.jobs = []*job{j}
-	j.exec = ex
-	j.state = StateQueued
 	select {
 	case s.queue <- ex:
 	default:
-		// No local room after all: back out and free the lease so a
-		// less-loaded member takes it.
-		j.exec = nil
 		ex.cancel()
-		s.mu.Unlock()
-		release()
-		return
+		return false
 	}
+	j.exec = ex
+	j.state = StateQueued
 	s.inflight[j.key] = ex
-	s.leases[rec.ID] = ex
-	s.mu.Unlock()
+	if leaseID != "" {
+		s.leases[leaseID] = ex
+	}
+	return true
+}
+
+// startUnpublished is the claim loop's only work source while degraded.
+// The node leases nothing new then, but its own submissions whose job
+// record never reached the store are invisible to every peer: running
+// them needs no lease, and they are obligations it already accepted.
+func (s *Service) startUnpublished(now time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, id := range s.order {
+		j := s.jobs[id]
+		if j.state != StateQueued || j.exec != nil || j.specPersisted || j.c == nil {
+			continue
+		}
+		if !s.startLocked(j, "", now) && j.exec == nil {
+			return // no worker room: the next tick retries
+		}
+	}
 }
 
 // mirrorJob builds the local object for a peer-submitted record this

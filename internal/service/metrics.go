@@ -35,14 +35,14 @@ type Metrics struct {
 	orphansRequeued atomic.Int64
 	storeErrors     atomic.Int64
 
-	// Cluster counters, all zero outside cluster mode. claimsWon /
-	// claimsLost tally this daemon's lease arbitration outcomes;
-	// jobsStolen counts claims won on work whose previous holder's
-	// lease had expired (a killed or stalled peer); leasesExpired
-	// counts expired leases acted on — stolen from peers or lost by
-	// this daemon; remoteDone counts local jobs completed by peers'
-	// terminal records; sweepsAdopted counts orphaned sweeps this
-	// daemon took over after their owner stopped heartbeating.
+	// Claim-loop counters. claimsWon / claimsLost tally this daemon's
+	// lease arbitration outcomes; jobsStolen counts claims won on work
+	// whose previous holder's lease had expired (a killed or stalled
+	// peer); leasesExpired counts expired leases acted on — stolen from
+	// peers or lost by this daemon; remoteDone counts local jobs
+	// completed by peers' terminal records; sweepsAdopted counts
+	// orphaned sweeps this daemon took over after their owner stopped
+	// heartbeating.
 	claimsWon     atomic.Int64
 	claimsLost    atomic.Int64
 	jobsStolen    atomic.Int64
@@ -273,11 +273,11 @@ type MetricsSnapshot struct {
 	Strategy StrategySnapshot `json:"strategy"`
 	// Tenant reports per-tenant admission and fair-share accounting.
 	Tenant TenantSnapshot `json:"tenant"`
-	// Store reports the persistence layer; omitted when the daemon runs
-	// without a data directory.
+	// Store reports the persistence layer (a daemon without a data
+	// directory reports its private in-memory store). Always set.
 	Store *StoreSnapshot `json:"store,omitempty"`
-	// Cluster reports multi-daemon coordination; omitted outside
-	// cluster mode (no -node-id).
+	// Cluster reports the claim loop's coordination over the store (a
+	// lone daemon is a one-member cluster). Always set.
 	Cluster *ClusterSnapshot `json:"cluster,omitempty"`
 	// HTTP reports the API edge (currently the per-client rate limiter).
 	HTTP struct {
@@ -288,8 +288,10 @@ type MetricsSnapshot struct {
 	// jobs (parallel workers sum, so this can exceed elapsed real time).
 	PhaseSeconds map[string]float64 `json:"phase_seconds"`
 	Workers      int                `json:"workers"`
-	QueueDepth   int                `json:"queue_depth"`
-	QueueLen     int                `json:"queue_len"`
+	// QueueLen counts the queued direct submissions this node accepted;
+	// QueueDepth is their bound (Config.QueueDepth).
+	QueueDepth int `json:"queue_depth"`
+	QueueLen   int `json:"queue_len"`
 }
 
 // StoreSnapshot is the "store" section of GET /metrics: the durable
@@ -311,13 +313,14 @@ type StoreSnapshot struct {
 	RecordsReplayed int64 `json:"records_replayed"`
 	TruncatedTail   bool  `json:"truncated_tail,omitempty"`
 	// RecordsRefreshed counts peers' records folded in after startup
-	// (cluster mode); SkippedFrames counts torn frames skipped while
-	// scanning the shared log (a crashed peer's interrupted append).
+	// (a shared data directory); SkippedFrames counts torn frames
+	// skipped while scanning the shared log (a crashed peer's
+	// interrupted append).
 	RecordsRefreshed int64 `json:"records_refreshed"`
 	SkippedFrames    int64 `json:"skipped_frames"`
 	// JobsRecovered / SweepsRecovered count records rebuilt into live
 	// service state at startup; OrphansRequeued counts jobs that were
-	// queued or running at crash time and were re-enqueued.
+	// queued or running at crash time and were re-queued.
 	JobsRecovered   int64 `json:"jobs_recovered"`
 	SweepsRecovered int64 `json:"sweeps_recovered"`
 	OrphansRequeued int64 `json:"orphans_requeued"`
@@ -481,58 +484,53 @@ func (s *Service) Metrics() MetricsSnapshot {
 		}
 		return tc
 	}
-	if s.store != nil {
-		st := s.store.Stats()
-		ss := &StoreSnapshot{
-			RecordsWritten:   st.RecordsWritten,
-			BytesOnDisk:      st.BytesOnDisk,
-			Compactions:      st.Compactions,
-			RecordsReplayed:  st.RecordsReplayed,
-			TruncatedTail:    st.TruncatedTail,
-			RecordsRefreshed: st.RecordsRefreshed,
-			SkippedFrames:    st.SkippedFrames,
-			JobsRecovered:    m.jobsRecovered.Load(),
-			SweepsRecovered:  m.sweepsRecovered.Load(),
-			OrphansRequeued:  m.orphansRequeued.Load(),
-			WriteErrors:      m.storeErrors.Load(),
-			Degraded:         s.degraded.Load(),
-			ParkedRecords:    int64(s.parkedCount()),
-			Epoch:            st.Epoch,
-			SegmentsLive:     st.SegmentsLive,
-			SegmentsDeleted:  st.SegmentsDeleted,
-			ManifestBytes:    st.ManifestBytes,
-		}
-		if !st.LastCompaction.IsZero() {
-			ss.LastCompaction = st.LastCompaction.UTC().Format(time.RFC3339)
-		}
-		snap.Store = ss
+	st := s.store.Stats()
+	snap.Store = &StoreSnapshot{
+		RecordsWritten:   st.RecordsWritten,
+		BytesOnDisk:      st.BytesOnDisk,
+		Compactions:      st.Compactions,
+		RecordsReplayed:  st.RecordsReplayed,
+		TruncatedTail:    st.TruncatedTail,
+		RecordsRefreshed: st.RecordsRefreshed,
+		SkippedFrames:    st.SkippedFrames,
+		JobsRecovered:    m.jobsRecovered.Load(),
+		SweepsRecovered:  m.sweepsRecovered.Load(),
+		OrphansRequeued:  m.orphansRequeued.Load(),
+		WriteErrors:      m.storeErrors.Load(),
+		Degraded:         s.degraded.Load(),
+		ParkedRecords:    int64(s.parkedCount()),
+		Epoch:            st.Epoch,
+		SegmentsLive:     st.SegmentsLive,
+		SegmentsDeleted:  st.SegmentsDeleted,
+		ManifestBytes:    st.ManifestBytes,
 	}
-	if s.clustered() {
-		cs := &ClusterSnapshot{
-			NodeID:        s.cfg.NodeID,
-			ClaimsWon:     m.claimsWon.Load(),
-			ClaimsLost:    m.claimsLost.Load(),
-			LeasesExpired: m.leasesExpired.Load(),
-			JobsStolen:    m.jobsStolen.Load(),
-			RemoteDone:    m.remoteDone.Load(),
-			SweepsAdopted: m.sweepsAdopted.Load(),
-		}
-		if nodes, err := s.store.Nodes(); err != nil {
-			s.noteStoreErr(err)
-		} else {
-			now := time.Now()
-			for _, n := range nodes {
-				cs.NodesSeen++
-				if n.ID != s.cfg.NodeID && now.Sub(n.Time) < 3*s.cfg.LeaseTTL {
-					cs.Peers++
-					if n.Degraded {
-						cs.DegradedPeers++
-					}
+	if !st.LastCompaction.IsZero() {
+		snap.Store.LastCompaction = st.LastCompaction.UTC().Format(time.RFC3339)
+	}
+	cs := &ClusterSnapshot{
+		NodeID:        s.cfg.NodeID,
+		ClaimsWon:     m.claimsWon.Load(),
+		ClaimsLost:    m.claimsLost.Load(),
+		LeasesExpired: m.leasesExpired.Load(),
+		JobsStolen:    m.jobsStolen.Load(),
+		RemoteDone:    m.remoteDone.Load(),
+		SweepsAdopted: m.sweepsAdopted.Load(),
+	}
+	if nodes, err := s.store.Nodes(); err != nil {
+		s.noteStoreErr(err)
+	} else {
+		now := time.Now()
+		for _, n := range nodes {
+			cs.NodesSeen++
+			if n.ID != s.cfg.NodeID && now.Sub(n.Time) < 3*s.cfg.LeaseTTL {
+				cs.Peers++
+				if n.Degraded {
+					cs.DegradedPeers++
 				}
 			}
 		}
-		snap.Cluster = cs
 	}
+	snap.Cluster = cs
 
 	s.mu.Lock()
 	snap.Jobs.ByState = make(map[State]int)
@@ -568,10 +566,8 @@ func (s *Service) Metrics() MetricsSnapshot {
 	snap.Cache = CacheStats{Entries: s.cache.len(), Hits: s.cache.hits, Misses: s.cache.misses}
 	snap.Workers = s.cfg.Workers
 	snap.QueueDepth = s.cfg.QueueDepth
-	snap.QueueLen = len(s.queue)
-	if snap.Cluster != nil {
-		snap.Cluster.ClaimsHeld = len(s.leases)
-	}
+	snap.QueueLen = s.queuedLocked()
+	cs.ClaimsHeld = len(s.leases)
 	s.mu.Unlock()
 	snap.Tenant.PerTenant = make(map[string]TenantCounters, len(perTenant))
 	for name, tc := range perTenant {

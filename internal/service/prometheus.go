@@ -117,8 +117,8 @@ func writePrometheus(w io.Writer, snap MetricsSnapshot) {
 		func(tc TenantCounters) float64 { return float64(tc.Priority) })
 
 	g("seqbist_workers", "Synthesis worker-pool size.", float64(snap.Workers))
-	g("seqbist_queue_depth", "Pending-job queue capacity.", float64(snap.QueueDepth))
-	g("seqbist_queue_len", "Executions currently queued.", float64(snap.QueueLen))
+	g("seqbist_queue_depth", "Bound on queued direct submissions (-queue).", float64(snap.QueueDepth))
+	g("seqbist_queue_len", "Queued direct submissions this node accepted.", float64(snap.QueueLen))
 	c("seqbist_http_rate_limited_total", "Submissions answered 429 by the per-client rate limiter.", snap.HTTP.RateLimited)
 
 	if st := snap.Store; st != nil {
@@ -131,12 +131,12 @@ func writePrometheus(w io.Writer, snap MetricsSnapshot) {
 			fmt.Fprintf(w, "# HELP seqbist_store_last_compaction_info RFC 3339 time of the most recent compaction.\n# TYPE seqbist_store_last_compaction_info gauge\nseqbist_store_last_compaction_info{time=%q} 1\n", st.LastCompaction)
 		}
 		c("seqbist_store_records_replayed_total", "Records rehydrated at startup.", st.RecordsReplayed)
-		c("seqbist_store_records_refreshed_total", "Peers' records folded in after startup (cluster mode).", st.RecordsRefreshed)
+		c("seqbist_store_records_refreshed_total", "Peers' records folded in after startup (shared data directory).", st.RecordsRefreshed)
 		c("seqbist_store_skipped_frames_total", "Torn or corrupt frames skipped scanning the shared log.", st.SkippedFrames)
 		g("seqbist_store_truncated_tail", "1 if a torn record was discarded from the log tail at startup.", boolGauge(st.TruncatedTail))
 		c("seqbist_store_jobs_recovered_total", "Job records rebuilt into live state at startup.", st.JobsRecovered)
 		c("seqbist_store_sweeps_recovered_total", "Sweep records rebuilt into live state at startup.", st.SweepsRecovered)
-		c("seqbist_store_orphans_requeued_total", "Jobs re-enqueued after being orphaned by a crash.", st.OrphansRequeued)
+		c("seqbist_store_orphans_requeued_total", "Jobs re-queued after being orphaned by a crash.", st.OrphansRequeued)
 		c("seqbist_store_write_errors_total", "Store writes that failed.", st.WriteErrors)
 		g("seqbist_store_degraded", "1 while persistence is failing and new submissions are rejected.", boolGauge(st.Degraded))
 		g("seqbist_store_parked_records", "Writes held in memory awaiting replay by the recovery probe.", float64(st.ParkedRecords))

@@ -1,5 +1,6 @@
-// Package service is the long-lived BIST-synthesis service: an in-process
-// job queue with a worker pool that runs the full loading-and-expansion
+// Package service is the long-lived BIST-synthesis service: a job queue
+// held as durable records in a store.Store, drained by a claim loop onto a
+// worker pool that runs the full loading-and-expansion
 // pipeline (ATPG/T0 -> Procedure 1 selection -> §3.2 compaction -> BIST
 // session with golden signatures and hardware cost) per submitted job,
 // fronted by an HTTP JSON API (see NewHandler).
@@ -47,7 +48,8 @@ import (
 var (
 	// ErrNotFound reports an unknown job ID.
 	ErrNotFound = errors.New("service: no such job")
-	// ErrQueueFull reports that the submission queue is at capacity.
+	// ErrQueueFull reports that this node already holds QueueDepth queued
+	// direct submissions.
 	ErrQueueFull = errors.New("service: queue full")
 	// ErrClosed reports submission to a shut-down service.
 	ErrClosed = errors.New("service: closed")
@@ -59,7 +61,9 @@ var (
 type Config struct {
 	// Workers is the synthesis worker-pool size (default 4).
 	Workers int
-	// QueueDepth is the pending-job capacity (default 64).
+	// QueueDepth bounds the queued direct submissions this node has
+	// accepted (default 64): a Submit beyond it is rejected with
+	// ErrQueueFull. Sweep members and cache hits bypass the bound.
 	QueueDepth int
 	// CacheSize is the maximum number of cached results (default 128;
 	// negative disables caching).
@@ -90,25 +94,26 @@ type Config struct {
 	// BenchLimits bounds uploaded .bench netlists (default
 	// bench.UploadLimits; negative fields disable the respective limit).
 	BenchLimits bench.Limits
-	// Store, when non-nil, makes every piece of job, sweep, event-log,
-	// and result-cache state durable: each transition is mirrored into
-	// the store, and New replays the store's state — re-enqueueing jobs
-	// that were queued or running when the previous process died — so a
-	// restart resumes exactly where the crash left off (see DESIGN.md
-	// §9). The Service takes ownership and closes the store after the
-	// worker pool drains. Nil (the default) keeps the pre-store,
-	// process-memory-only behavior.
+	// Store holds every piece of job, sweep, event-log, and result state:
+	// a submission becomes a queued record, and the claim loop leases
+	// records onto the worker pool. New replays the store's state —
+	// re-queueing jobs that were queued or running when the previous
+	// process died — so a restart on a durable store resumes where the
+	// crash left off (see DESIGN.md §9). The Service takes ownership and
+	// closes the store after the worker pool drains. Nil (the default)
+	// opens a private store.NewMemory(), which keeps nothing across
+	// restarts.
 	Store store.Store
 
-	// NodeID, together with Store, turns this service into one member
-	// of a multi-daemon cluster: every daemon that opens the same store
-	// under a distinct NodeID cooperatively drains one queue. Dispatch
-	// changes shape — submissions become durable queued records, and a
-	// claim loop on every member leases records for execution (stealing
-	// work whose holder's lease expired, e.g. a SIGKILLed peer), so any
-	// member's jobs and sweeps finish as long as one member survives.
-	// IDs are namespaced per node ("job-<node>-000001"). See DESIGN.md
-	// §10. Empty (the default) keeps single-daemon dispatch.
+	// NodeID is this daemon's identity among the services sharing Store.
+	// Every daemon that opens the same store under a distinct NodeID
+	// cooperatively drains one queue: each member's claim loop leases
+	// records for execution (stealing work whose holder's lease expired,
+	// e.g. a SIGKILLed peer), so any member's jobs and sweeps finish as
+	// long as one member survives. A non-empty NodeID namespaces IDs
+	// ("job-<node>-000001"); see DESIGN.md §10. Empty (the default) marks
+	// the store's only writer: IDs are un-namespaced ("job-000001") and
+	// result bodies are deleted once nothing references them.
 	NodeID string
 	// LeaseTTL is how long a claimed job stays fenced to its claimant
 	// without renewal (default 10s). Shorter TTLs re-assign a killed
@@ -180,18 +185,16 @@ func (c Config) withDefaults() Config {
 	if c.BenchLimits.MaxSignals < 0 {
 		c.BenchLimits.MaxSignals = 0
 	}
-	if c.NodeID != "" {
-		if c.LeaseTTL <= 0 {
-			c.LeaseTTL = 10 * time.Second
+	if c.LeaseTTL <= 0 {
+		c.LeaseTTL = 10 * time.Second
+	}
+	if c.PollInterval <= 0 {
+		c.PollInterval = c.LeaseTTL / 20
+		if c.PollInterval < 100*time.Millisecond {
+			c.PollInterval = 100 * time.Millisecond
 		}
-		if c.PollInterval <= 0 {
-			c.PollInterval = c.LeaseTTL / 20
-			if c.PollInterval < 100*time.Millisecond {
-				c.PollInterval = 100 * time.Millisecond
-			}
-			if c.PollInterval > time.Second {
-				c.PollInterval = time.Second
-			}
+		if c.PollInterval > time.Second {
+			c.PollInterval = time.Second
 		}
 	}
 	if c.ProbeInterval <= 0 {
@@ -214,7 +217,9 @@ func (c Config) withDefaults() Config {
 
 // Service is the synthesis job manager. Create with New, stop with Close.
 type Service struct {
-	cfg   Config
+	cfg Config
+	// queue hands claimed executions to the workers (see startClaimed);
+	// the backlog itself is the store's queued records.
 	queue chan *execution
 
 	rootCtx    context.Context
@@ -223,24 +228,25 @@ type Service struct {
 
 	metrics Metrics
 
-	store store.Store // nil = no persistence
+	store store.Store
 
 	mu         sync.Mutex
 	jobs       map[string]*job
 	order      []string // submission order, for listing
 	cache      *resultCache
 	inflight   map[string]*execution // content key -> in-flight run
-	leases     map[string]*execution // job ID -> locally-claimed run (cluster mode)
+	leases     map[string]*execution // job ID -> locally-claimed run
 	seq        int64
 	sweeps     map[string]*sweep
 	sweepOrder []string // creation order, for listing and eviction
 	sweepSeq   int64
 	closed     bool
 
-	// Cluster-mode plumbing: started stamps the heartbeat record,
+	// Claim-loop plumbing: started stamps the heartbeat record,
 	// clusterWake nudges the claim loop ahead of its next tick (local
-	// submissions should not wait a full poll interval), lastHeartbeat
-	// throttles heartbeat records (touched only by the claim loop).
+	// submissions and freed worker slots should not wait a full poll
+	// interval), lastHeartbeat throttles heartbeat records (touched only
+	// by the claim loop).
 	started       time.Time
 	clusterWake   chan struct{}
 	lastHeartbeat time.Time
@@ -275,7 +281,8 @@ type Service struct {
 	// resultRefs counts, per content key, the live referents of a
 	// stored result body: done job records plus cache entries. When the
 	// last referent disappears (retention or LRU eviction) the body is
-	// deleted from the store. Maintained only when store is non-nil.
+	// deleted from the store (by the store's only writer; see
+	// decResultRef).
 	resultRefs map[string]int
 
 	// Degradation state machine (degrade.go). degraded is atomic so the
@@ -293,14 +300,17 @@ type Service struct {
 	lastClusterTick atomic.Int64
 }
 
-// New starts a service with cfg's worker pool running. When cfg.Store
-// is set, the store's state is replayed first: terminal jobs, sweeps,
-// event logs, and cached results reappear, and jobs that were queued or
-// running when the previous process died are re-enqueued (marked
-// orphaned) before the workers start — re-running is safe because
+// New starts a service with cfg's worker pool and claim loop running.
+// The store's state is replayed first: terminal jobs, sweeps, event
+// logs, and cached results reappear, and jobs that were queued or
+// running when the previous process died become queued records again
+// (marked orphaned) for the claim loop — re-running is safe because
 // results are content-addressed and coalescing dedups observers.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
+	if cfg.Store == nil {
+		cfg.Store = store.NewMemory()
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Service{
 		cfg:          cfg,
@@ -324,38 +334,22 @@ func New(cfg Config) *Service {
 	s.buildTenants()
 	s.cache.onEvict = s.decResultRef
 	s.lastClusterTick.Store(s.started.UnixNano())
-	// Recovery may enlarge the queue so every re-enqueued execution
-	// fits ahead of new submissions; it needs no locking because the
-	// workers have not started. (In cluster mode recovery re-queues
-	// nothing directly: orphans become durable queued records that the
-	// claim loop — any member's — picks up.)
-	recovered := s.recover()
-	queue := make(chan *execution, cfg.QueueDepth+len(recovered))
-	for _, ex := range recovered {
-		queue <- ex
-	}
-	s.queue = queue
+	s.recover()
+	// Sized to claimWork's budget of Workers+1 leases; a push that finds
+	// no room backs out instead of blocking the claim loop (startLocked).
+	s.queue = make(chan *execution, cfg.Workers+1)
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
 	}
-	if s.clustered() {
-		s.wg.Add(1)
-		go s.clusterLoop()
-	}
-	if s.store != nil {
-		s.wg.Add(1)
-		go s.probeLoop()
-	}
+	s.wg.Add(2)
+	go s.clusterLoop()
+	go s.probeLoop()
 	return s
 }
 
-// clustered reports whether this service is a member of a multi-daemon
-// cluster (a store plus a node identity).
-func (s *Service) clustered() bool { return s.store != nil && s.cfg.NodeID != "" }
-
-// newJobID formats a job ID; cluster mode namespaces it by node so
-// concurrent daemons sharing one store cannot collide.
+// newJobID formats a job ID; a named node namespaces it so concurrent
+// daemons sharing one store cannot collide.
 func (s *Service) newJobID(seq int64) string {
 	if s.cfg.NodeID != "" {
 		return fmt.Sprintf("job-%s-%06d", s.cfg.NodeID, seq)
@@ -486,6 +480,10 @@ func (s *Service) submitJob(c *netlist.Circuit, t0 vectors.Sequence, spec JobSpe
 			s.metrics.observeTenantQuotaReject(tenant)
 			return Status{}, err
 		}
+		if s.queuedLocked() >= s.cfg.QueueDepth {
+			s.mu.Unlock()
+			return Status{}, ErrQueueFull
+		}
 	}
 	if ex, ok := s.inflight[key]; ok {
 		// Coalesce: attach to the in-flight run.
@@ -509,42 +507,33 @@ func (s *Service) submitJob(c *netlist.Circuit, t0 vectors.Sequence, spec JobSpe
 		}
 		return st, nil
 	}
-	if s.clustered() {
-		// Cluster dispatch: the durable queued record *is* the queue.
-		// Every member's claim loop — including this daemon's — races to
-		// lease it; whoever wins executes and publishes the result under
-		// the content key, and this daemon's poll loop completes j and
-		// fires its hooks when the terminal record appears.
-		j.state = StateQueued
-		s.register(j)
-		s.persistJob(j)
-		st := j.status()
-		s.mu.Unlock()
-		s.metrics.jobsSubmitted.Add(1)
-		s.metrics.observeTenantSubmit(tenant)
-		s.nudgeCluster()
-		return st, nil
-	}
-	ex := &execution{key: key, c: c, t0: t0, cfg: cfg}
-	ex.ctx, ex.cancel = context.WithCancel(s.rootCtx)
-	ex.jobs = []*job{j}
-	j.exec = ex
+	// The durable queued record *is* the queue. Every member's claim
+	// loop — including this daemon's — races to lease it; whoever wins
+	// executes and publishes the result under the content key, and this
+	// daemon's poll loop completes j and fires its hooks when the
+	// terminal record appears.
 	j.state = StateQueued
-	select {
-	case s.queue <- ex:
-	default:
-		ex.cancel() // release the context registration
-		s.mu.Unlock()
-		return Status{}, ErrQueueFull
-	}
-	s.inflight[key] = ex
 	s.register(j)
 	s.persistJob(j)
 	st := j.status()
 	s.mu.Unlock()
 	s.metrics.jobsSubmitted.Add(1)
 	s.metrics.observeTenantSubmit(tenant)
+	s.nudgeCluster()
 	return st, nil
+}
+
+// queuedLocked counts the queued direct submissions this node accepted:
+// the backlog QueueDepth bounds, reported as queue_len. Sweep members
+// and peers' records do not count. Callers hold s.mu.
+func (s *Service) queuedLocked() int {
+	n := 0
+	for _, j := range s.jobs {
+		if j.state == StateQueued && j.sweepID == "" && j.node == s.cfg.NodeID {
+			n++
+		}
+	}
+	return n
 }
 
 // register records j and evicts the oldest terminal records beyond the
@@ -689,9 +678,8 @@ func (s *Service) Stats() Stats {
 }
 
 // Close stops accepting jobs, cancels everything in flight, waits for
-// the workers to drain, and flushes and closes the store (when one is
-// configured), so every terminal record reaches disk before the daemon
-// exits.
+// the workers to drain, and flushes and closes the store, so every
+// terminal record reaches disk before the daemon exits.
 func (s *Service) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -703,12 +691,10 @@ func (s *Service) Close() {
 	s.rootCancel()
 	close(s.queue)
 	s.wg.Wait()
-	if s.store != nil {
-		// Every acknowledged write is already on disk (the WAL syncs
-		// per-append); a close failure here can only lose records that
-		// were never acknowledged to a caller.
-		_ = s.store.Close()
-	}
+	// Every acknowledged write is already on disk (the WAL syncs
+	// per-append); a close failure here can only lose records that were
+	// never acknowledged to a caller.
+	_ = s.store.Close()
 }
 
 // dropInflight clears ex's coalescing slot, but only while the slot is
@@ -723,11 +709,14 @@ func (s *Service) dropInflight(ex *execution) {
 	}
 }
 
-// worker drains the queue until Close.
+// worker runs claimed executions until Close. Each finished execution
+// frees a lease slot, so the claim loop is nudged to refill it without
+// waiting out PollInterval.
 func (s *Service) worker() {
 	defer s.wg.Done()
 	for ex := range s.queue {
 		s.runExec(ex)
+		s.nudgeCluster()
 	}
 }
 

@@ -148,7 +148,7 @@ type SweepEvent struct {
 type sweep struct {
 	id     string
 	seq    int64     // numeric suffix of id, for counter recovery
-	node   string    // owning daemon (cluster mode); appends events + summary
+	node   string    // owning daemon's NodeID; appends events + summary
 	tenant string    // owning tenant; carried onto every member job
 	spec   SweepSpec // original request, persisted so a crashed
 	// mid-fan-out sweep can re-submit members that never made it to the
@@ -280,11 +280,11 @@ func (s *Service) SubmitSweep(spec SweepSpec) (SweepStatus, error) {
 // SubmitSweepAs validates every member of spec up front (so a malformed
 // or oversized netlist rejects the whole sweep atomically, before any
 // work is queued), enforces the tenant's active-sweeps quota, registers
-// the sweep, and fans the members out over the worker pool. Members
+// the sweep, and fans the members out as queued records. Members
 // hitting the result cache complete instantly; a member that cannot be
-// enqueued because the queue is full is recorded as failed rather than
-// failing the sweep. The sweep is admitted as a unit: its members bypass
-// the tenant's queued-jobs quota.
+// queued because the service is closing is recorded as failed rather
+// than failing the sweep. The sweep is admitted as a unit: its members
+// bypass the tenant's queued-jobs quota and QueueDepth.
 func (s *Service) SubmitSweepAs(tenant string, spec SweepSpec) (SweepStatus, error) {
 	if tenant == "" {
 		tenant = AnonymousTenant
@@ -388,8 +388,8 @@ func (s *Service) SubmitSweepAs(tenant string, spec SweepSpec) (SweepStatus, err
 			func(final Status, res *Result) { s.memberTerminal(sw, i, final, res) })
 		s.mu.Lock()
 		if err != nil {
-			// Queue full or service closing: record the member as failed
-			// and count it terminal so the sweep still completes.
+			// Service closing: record the member as failed and count it
+			// terminal so the sweep still completes.
 			sw.members[i].status = Status{State: StateFailed, Circuit: members[i].c.Name, Error: err.Error()}
 			sw.pending--
 			ms := sw.memberStatus(i, false)
@@ -467,8 +467,8 @@ func (s *Service) memberTerminal(sw *sweep, i int, final Status, res *Result) {
 
 // raceFanOut fans one racing member out as one leg job per concrete
 // strategy. Every leg carries the member's full config with only the
-// strategy replaced, so the legs have distinct content keys and — in
-// cluster mode — land on whichever nodes' claim loops win them. Legs are
+// strategy replaced, so the legs have distinct content keys and land on
+// whichever nodes' claim loops win them. Legs are
 // plain sweep jobs with member = -1 (they are not members themselves);
 // the member's own status is decided in decideRaceLocked once the last
 // leg is terminal. Callers must NOT hold the Service mutex.
@@ -507,8 +507,8 @@ func (s *Service) raceFanOut(sw *sweep, i int, rm resolvedMember) {
 		s.mu.Lock()
 		leg := &rs.legs[li]
 		if err != nil {
-			// Queue full or service closing: the leg is out of the race,
-			// but the member still completes from the remaining legs.
+			// Service closing: the leg is out of the race, but the
+			// member still completes from the remaining legs.
 			if !leg.status.State.Terminal() {
 				leg.status = Status{State: StateFailed, Circuit: rm.c.Name, Error: err.Error()}
 				rs.pending--
@@ -694,12 +694,10 @@ func (s *Service) registerSweep(sw *sweep) {
 		if over > 0 && s.sweeps[id].state.Terminal() {
 			delete(s.sweeps, id)
 			over--
-			if s.store != nil {
-				id := id
-				s.persistWrite("sweep-delete", id, func(st store.Store) error {
-					return st.DeleteSweep(id)
-				})
-			}
+			id := id
+			s.persistWrite("sweep-delete", id, func(st store.Store) error {
+				return st.DeleteSweep(id)
+			})
 			continue
 		}
 		kept = append(kept, id)

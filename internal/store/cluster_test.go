@@ -64,9 +64,6 @@ func TestSharedInterleavedReplayEquivalence(t *testing.T) {
 			}
 			// Every handle's view converges to the same log prefix.
 			for i, h := range handles {
-				if err := h.Refresh(); err != nil {
-					t.Fatal(err)
-				}
 				got, err := h.Load()
 				if err != nil {
 					t.Fatal(err)
@@ -157,9 +154,6 @@ func TestSharedConcurrentAppends(t *testing.T) {
 
 	var prev *State
 	for i, h := range handles {
-		if err := h.Refresh(); err != nil {
-			t.Fatal(err)
-		}
 		got, err := h.Load()
 		if err != nil {
 			t.Fatal(err)

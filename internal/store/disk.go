@@ -193,7 +193,6 @@ type (
 // of the fold position (Epoch, Off). Spilled results appear in
 // ResultRefs only; their bodies stay in results/.
 type snapshot struct {
-	LSN        int64                      `json:"lsn,omitempty"`  // pre-shared-era cutoff
 	LSNs       map[string]int64           `json:"lsns,omitempty"` // per-node cutoff
 	Epoch      int64                      `json:"epoch,omitempty"`
 	Off        int64                      `json:"off,omitempty"`      // manifest bytes consumed in Epoch
@@ -372,11 +371,6 @@ func (d *Disk) replaySnapshot() error {
 	d.stats.RecordsReplayed += int64(len(snap.Jobs) + len(snap.Sweeps) + len(snap.Results) + len(snap.ResultRefs))
 	for _, log := range snap.Events {
 		d.stats.RecordsReplayed += int64(len(log))
-	}
-	// Pre-shared-era snapshots carry a single LSN: those records were
-	// all written by the exclusive (empty-named) writer.
-	if snap.LSNs == nil && snap.LSN > 0 {
-		snap.LSNs = map[string]int64{"": snap.LSN}
 	}
 	for node, lsn := range snap.LSNs {
 		d.snapLSNs[node] = lsn
@@ -703,14 +697,6 @@ func (d *Disk) Load() (*State, error) {
 		return nil, err
 	}
 	return stateOf(d.jobs, d.sweeps, d.events, d.results), nil
-}
-
-// Refresh folds records appended by peer processes into this handle's
-// view.
-func (d *Disk) Refresh() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.foldLocked()
 }
 
 // Changes folds the latest records and returns what changed since

@@ -361,6 +361,49 @@ func mustDo(t *testing.T, errs ...error) {
 	}
 }
 
+// mustLoad folds h's view forward (Load folds peers' appends) and fails
+// the test on a store error.
+func mustLoad(t *testing.T, h Store) *State {
+	t.Helper()
+	st, err := h.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestSnapshotLegacyLSNKey pins that a snapshot written before per-node
+// cutoffs existed — it carries the single pre-shared-era "lsn" key and
+// no "lsns" map — still loads every record it holds. The key itself is
+// no longer read: without a cutoff, log frames at or below it would
+// replay as idempotent upserts over the same records.
+func TestSnapshotLegacyLSNKey(t *testing.T) {
+	dir := t.TempDir()
+	snap := `{"lsn":7,"jobs":[` + string(mustMarshal(t, jobRec(1, "done"))) + `,` +
+		string(mustMarshal(t, jobRec(2, "queued"))) + `]}`
+	if err := os.WriteFile(filepath.Join(dir, snapName), []byte(snap), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	st := mustLoad(t, d)
+	if len(st.Jobs) != 2 || st.Jobs[0].ID != jobRec(1, "").ID || st.Jobs[1].State != "queued" {
+		t.Fatalf("legacy snapshot loaded %s", dumpState(st))
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // statesEqual compares two States through JSON so raw-message fields
 // compare by content and time fields by instant.
 func statesEqual(a, b *State) bool {

@@ -224,10 +224,6 @@ func (m *Memory) Heartbeat(rec NodeRecord) error {
 	return nil
 }
 
-// Refresh is a no-op: writes through a shared Memory are visible to
-// every reader the moment they commit.
-func (m *Memory) Refresh() error { return nil }
-
 // Changes returns the records changed since cursor (0 or a stale
 // cursor yields a full resync), plus the cursor for the next call.
 func (m *Memory) Changes(cursor uint64) (*Delta, uint64, error) {

@@ -163,9 +163,6 @@ func TestSharedConcurrentOnlineCompaction(t *testing.T) {
 	var prev *State
 	var compactions int64
 	for i, h := range handles {
-		if err := h.Refresh(); err != nil {
-			t.Fatal(err)
-		}
 		got, err := h.Load()
 		if err != nil {
 			t.Fatal(err)
@@ -381,7 +378,7 @@ func TestSharedIncrementalRefresh(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		mustDo(t, b.PutJob(jobRec(i, "queued")))
 	}
-	mustDo(t, a.Refresh())
+	mustLoad(t, a)
 	base := a.Stats().RecordsRefreshed
 	if base != 100 {
 		t.Fatalf("initial refresh folded %d records, want 100", base)
@@ -390,12 +387,12 @@ func TestSharedIncrementalRefresh(t *testing.T) {
 	for i := int64(101); i <= 105; i++ {
 		mustDo(t, b.PutJob(jobRec(i, "queued")))
 	}
-	mustDo(t, a.Refresh())
+	mustLoad(t, a)
 	if delta := a.Stats().RecordsRefreshed - base; delta != 5 {
 		t.Fatalf("poll tick folded %d records, want exactly the 5 new ones", delta)
 	}
 	// A tick with nothing new folds nothing.
-	mustDo(t, a.Refresh())
+	mustLoad(t, a)
 	if delta := a.Stats().RecordsRefreshed - base; delta != 5 {
 		t.Fatalf("idle poll tick folded %d extra records", delta-5)
 	}
@@ -427,7 +424,7 @@ func BenchmarkRefreshIncremental(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			if err := r.Refresh(); err != nil {
+			if _, err := r.Load(); err != nil {
 				b.Fatal(err)
 			}
 			b.ResetTimer()
@@ -437,7 +434,7 @@ func BenchmarkRefreshIncremental(b *testing.B) {
 				if err := w.PutJob(rec); err != nil {
 					b.Fatal(err)
 				}
-				if err := r.Refresh(); err != nil {
+				if _, err := r.Load(); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -214,15 +214,11 @@ type Store interface {
 	// Heartbeat upserts this node's identity record; peers read the set
 	// via Nodes to size the cluster and detect dead members.
 	Heartbeat(NodeRecord) error
-	// Refresh pulls records appended by other processes sharing the
-	// same durable storage into this handle's view (no-op for Memory
-	// and for exclusive Disk handles).
-	Refresh() error
 	// Changes returns the job and sweep records that changed since
 	// cursor (as returned by the previous call; 0 means "everything"),
 	// plus the cursor for the next call. A cursor that has fallen too
 	// far behind degrades to a full resync (Delta.Full) — the API may
-	// over-deliver but never misses a change. Like Refresh, it folds
+	// over-deliver but never misses a change. Like Load, it folds
 	// peers' appends first, but hands back only the changed records, so
 	// a poll tick costs O(new records) instead of O(total state).
 	Changes(cursor uint64) (*Delta, uint64, error)
