@@ -8,7 +8,6 @@
 //	seqbist -circuit s298 -n 8
 //	seqbist -bench mydesign.bench -n 4 -seed 7
 //	seqbist -circuit s27 -t0 t0.txt -n 1    # bring your own T0
-//	seqbist -serve :8080 -workers 8         # run as the synthesis daemon
 //
 //	# Batch sweep against a daemon: submit, stream progress, print the
 //	# Table-3-style summary. -sweep takes registry names and/or .bench
@@ -16,10 +15,8 @@
 //	seqbist -sweep s27,s298,mydesign.bench -server http://localhost:8080 -n 8
 //	seqbist -sweep table3            # no -server: ephemeral in-process daemon
 //
-// -serve starts the same HTTP service as the seqbistd command (see
-// internal/service); all one-shot flags are ignored in that mode. The
-// sweep mode is a thin client over POST /v1/sweeps and its NDJSON event
-// stream (see API.md).
+// The daemon itself is the seqbistd command. The sweep mode is a thin
+// client over POST /v1/sweeps and its NDJSON event stream (see API.md).
 package main
 
 import (
@@ -54,8 +51,7 @@ func main() {
 	skipCompact := flag.Bool("no-compact", false, "skip §3.2 static compaction of S")
 	verilogOut := flag.String("verilog", "", "write the on-chip BIST hardware (expander + MISR) as Verilog to this path")
 	fsimWorkers := flag.Int("fsim-workers", 0, "fault-simulation goroutines (0 = one per CPU, 1 = serial)")
-	serveAddr := flag.String("serve", "", "run as the synthesis daemon on this address instead of one-shot mode")
-	serveWorkers := flag.Int("workers", 4, "daemon synthesis worker-pool size (with -serve and -sweep without -server)")
+	sweepWorkers := flag.Int("workers", 4, "worker-pool size of the in-process daemon -sweep starts without -server")
 	sweepList := flag.String("sweep", "", "batch sweep: comma-separated registry names and/or .bench paths, or \"table3\"")
 	serverURL := flag.String("server", "", "daemon base URL for -sweep (empty = run an ephemeral in-process daemon)")
 	maxTrials := flag.Int("max-omission-trials", 0, "bound Procedure 2 omission simulations per subsequence (0 = unlimited; sweeps on big circuits want a bound)")
@@ -77,16 +73,6 @@ func main() {
 		fatalf("invalid flags: %v", err)
 	}
 
-	if *serveAddr != "" {
-		if err := service.Serve(*serveAddr, service.Config{
-			Workers:        *serveWorkers,
-			SimParallelism: *fsimWorkers,
-		}); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
-
 	if *sweepList != "" {
 		runSweep(*sweepList, *serverURL, service.GenConfig{
 			N:                 *n,
@@ -95,7 +81,7 @@ func main() {
 			SkipCompact:       *skipCompact,
 			Parallelism:       *fsimWorkers,
 			Strategy:          *stratName,
-		}, *serveWorkers)
+		}, *sweepWorkers)
 		return
 	}
 

@@ -2,8 +2,10 @@ package fsim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
+	"seqbist/internal/bench"
 	"seqbist/internal/faults"
 	"seqbist/internal/iscas"
 	"seqbist/internal/logic"
@@ -15,11 +17,11 @@ import (
 // These tests are the active-region engine's contract: against every
 // registry circuit and against random synthetic netlists, the
 // cone-restricted adaptive engine (engine.go) must be bit-for-bit
-// identical to the pre-change full-netlist evaluation path kept behind
-// the SetFullEvaluation hook (fullpath.go) — same newly-detected lists in
-// the same order, same divergence counts, same Detected/DetTime/
-// NumDetected, under committing (Extend) and non-committing (Evaluate)
-// use, with binary and X-heavy stimuli, at every worker count.
+// identical to the full-netlist evaluation path (fullpath.go, reached
+// through newFullReference) — same newly-detected lists in the same
+// order, same divergence counts, same Detected/DetTime/NumDetected,
+// under committing (Extend) and non-committing (Evaluate) use, with
+// binary and X-heavy stimuli, at every worker count.
 
 // xheavySequence builds a sequence whose values are 0/1/X with equal
 // probability: unknowns exercise the pessimistic three-valued paths the
@@ -44,21 +46,12 @@ func xheavySequence(rng *xrand.RNG, width, n int) vectors.Sequence {
 }
 
 // diffCheck interleaves Extend and Evaluate calls over chunks of seq on
-// an active-region and a full-evaluation simulator and fails on the first
-// observable difference.
+// an active-region and a full-evaluation simulator, both at the given
+// worker count, and fails on the first observable difference.
 func diffCheck(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fault, seq vectors.Sequence, workers int) {
 	t.Helper()
-	diffCheckOpts(t, name, c, fl, seq, Options{Workers: workers})
-}
-
-// diffCheckOpts is diffCheck with a full Options block for the engine
-// under test: lane width, forced propagation mode, and worker count all
-// must reproduce the 64-lane full-evaluation reference bit for bit.
-func diffCheckOpts(t *testing.T, name string, c *netlist.Circuit, fl []faults.Fault, seq vectors.Sequence, opts Options) {
-	t.Helper()
-	active := New(c, fl, opts)
-	full := New(c, fl, Options{Workers: opts.Workers, FullEvaluation: true})
-	workers := opts.Workers
+	active := New(c, fl, Options{Workers: workers})
+	full := newFullReference(c, fl, workers)
 
 	chunk := 7
 	for start := 0; start < seq.Len(); start += chunk {
@@ -230,4 +223,29 @@ func TestEvaluateSteadyStateAllocationFree(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("Evaluate allocated %.1f times per call in steady state, want 0", allocs)
 	}
+}
+
+// FuzzEngineMatchesFull parses fuzzed .bench text and, for every netlist
+// that parses, requires Run and interleaved Extend/Evaluate calls at
+// workers 1 and 2 to match the full-evaluation reference over the
+// uncollapsed fault universe. The seed corpus is s27 and s298.
+func FuzzEngineMatchesFull(f *testing.F) {
+	f.Add(bench.Format(iscas.S27()), uint64(1), uint8(20))
+	f.Add(bench.Format(iscas.MustLoad("s298")), uint64(2), uint8(40))
+	lim := bench.Limits{MaxBytes: 64 << 10, MaxSignals: 2048}
+	f.Fuzz(func(t *testing.T, src string, seed uint64, n uint8) {
+		c, err := bench.ParseLimited(strings.NewReader(src), "fuzz", lim)
+		if err != nil {
+			return
+		}
+		fl := faults.Universe(c)
+		seq := xheavySequence(xrand.New(seed), c.NumPIs(), 1+int(n)%48)
+		for _, w := range []int{1, 2} {
+			got := New(c, fl, Options{Workers: w}).Run(seq)
+			if want := newFullReference(c, fl, w).Run(seq); !reflect.DeepEqual(got, want) {
+				t.Fatalf("workers=%d: Run differs from the full reference", w)
+			}
+			diffCheck(t, "fuzz", c, fl, seq, w)
+		}
+	})
 }

@@ -23,7 +23,7 @@ func TestEscalationMatchesFull(t *testing.T) {
 	seq := xheavySequence(rng, c.NumPIs(), 120)
 
 	active := New(c, fl, Options{})
-	full := New(c, fl, Options{FullEvaluation: true})
+	full := newFullReference(c, fl, 1)
 	chunk := 9
 	for start := 0; start < seq.Len(); start += chunk {
 		end := start + chunk
@@ -56,7 +56,7 @@ func TestEscalationSharded(t *testing.T) {
 	fl := faults.CollapsedUniverse(c)
 	rng := xrand.New(23)
 	seq := xheavySequence(rng, c.NumPIs(), 90)
-	want := New(c, fl, Options{FullEvaluation: true})
+	want := newFullReference(c, fl, 1)
 	wref := want.Run(seq)
 	for _, w := range []int{2, 4} {
 		e := New(c, fl, Options{Workers: w})

@@ -28,10 +28,11 @@
 // whose recent activity shows the cone restriction is not paying — the
 // feedback-heavy circuits where most of the netlist stays active — is
 // escalated to the full-netlist stepper (fullpath.go), which is exactly
-// the flat pre-cone engine. The results are bit-for-bit identical to
-// full-netlist evaluation in every mode — the full path doubles as the
-// Options.FullEvaluation reference and differential tests prove the
-// equivalence.
+// the flat pre-cone engine. The engine picks queue, dense or full
+// stepping itself from the activity it measures; Options carries only
+// the worker count. The results are bit-for-bit identical to full-netlist
+// evaluation on every path: the full path doubles as the in-package
+// reference, and differential tests prove the equivalence.
 //
 // Detection semantics are the classical pessimistic three-valued rule,
 // matching the paper's fault simulator: a fault is detected at time unit u
@@ -44,6 +45,7 @@ package fsim
 import (
 	"math/bits"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"seqbist/internal/faults"
@@ -105,9 +107,9 @@ type group struct {
 	// Machine state, sparse: state[di] is meaningful only for the
 	// flip-flop indices listed in divDFF (the flip-flops whose word
 	// differs from the broadcast fault-free state); every other flip-flop
-	// is implicitly at the fault-free value. In full-evaluation mode
-	// (Options.FullEvaluation) and while the group is escalated, state is
-	// dense.
+	// is implicitly at the fault-free value. On the full-evaluation
+	// reference path (Engine.fullEval) and while the group is escalated,
+	// state is dense.
 	state  []logic.Word
 	divDFF []int32
 
@@ -115,7 +117,7 @@ type group struct {
 	// activity predictor that picks the propagation structure (engine.go).
 	lastEval int32
 
-	// Escalation state (ModeAuto): hotCalls counts consecutive committing
+	// Escalation state: hotCalls counts consecutive committing
 	// calls whose average activity exceeded the escalation threshold;
 	// escalated groups run the full-netlist stepper with dense state until
 	// they reconverge (see noteActivity).
@@ -130,8 +132,6 @@ type Engine struct {
 	c   *netlist.Circuit
 	csr *netlist.CSR
 	fl  []faults.Fault
-
-	opts Options
 
 	good      *sim.Simulator
 	goodState []logic.Value
@@ -153,22 +153,20 @@ type Engine struct {
 	groups  []group
 	liveBuf []int
 
-	// sc is the serial path's scratch; the sharded scheduler draws one
-	// private scratch per worker from workerScratch instead (parallel.go).
-	sc            *scratch
+	// Cone-aware static shards of the group scheduler: shards[w] lists
+	// the group indices shard w owns and workerScratch[w] is its private
+	// scratch (parallel.go). Rebuilt when enough groups die that the
+	// balance drifts. conesBuf pools the region-list view handed to
+	// netlist.ConePartition; wg joins the shards of one call.
 	workers       int
+	shards        [][]int
+	shardLive     int
+	conesBuf      [][]int32
 	workerScratch []*scratch
+	wg            sync.WaitGroup
 
-	// Cone-aware static shards for the parallel scheduler: shards[w]
-	// lists the group indices worker w owns (parallel.go). Rebuilt when
-	// enough groups die that the balance drifts. conesBuf pools the
-	// region-list view handed to netlist.ConePartition.
-	shards    [][]int
-	shardLive int
-	conesBuf  [][]int32
-
-	// fullEval selects the full-netlist evaluation path (fullpath.go);
-	// the Options.FullEvaluation reference mode.
+	// fullEval selects the full-netlist evaluation path (fullpath.go) for
+	// every group: the differential-testing reference. Only tests set it.
 	fullEval bool
 
 	// estat accumulates this engine's share of the efficiency counters;
@@ -181,7 +179,9 @@ type Engine struct {
 	numDet   int
 	now      int // absolute time units simulated so far
 
-	// Pooled merge buffers for the parallel Evaluate path.
+	// Pooled merge buffers: the shards' detections for Extend, and the
+	// per-group newly-detected lists and divergence counts for Evaluate.
+	detBuf   []detection
 	newlyBuf [][]int
 	divBuf   []int
 
@@ -393,10 +393,8 @@ type detection struct {
 // Extend simulates the vectors of seq (continuing from the current state),
 // commits the resulting machine states, and returns the indices of newly
 // detected faults. Detected faults are dropped from future simulation.
-//
-// With Options.Workers > 1 and more than one live group, the cone-sharded
-// scheduler in parallel.go runs instead; it returns identical detections
-// in the identical order.
+// The live groups run on the cone-sharded scheduler (parallel.go); the
+// detections come back in the same order for every worker count.
 func (e *Engine) Extend(seq vectors.Sequence) []int {
 	patternsApplied.Add(int64(len(seq)))
 	e.estat.PatternsApplied += int64(len(seq))
@@ -405,46 +403,65 @@ func (e *Engine) Extend(seq vectors.Sequence) []int {
 	}
 	copy(e.entryGood, e.goodState)
 	goodVals := e.goodTraceCommit(seq)
-	live := e.liveGroups()
-	if e.workers > 1 && len(live) > 1 {
-		return e.extendParallel(seq, goodVals, live)
+	e.runShards(e.liveGroups(), seq, goodVals, true)
+	// Gather the per-shard detection buffers; mergeDetections puts them
+	// in the canonical (time, group, lane) order.
+	all := e.detBuf[:0]
+	for _, sc := range e.workerScratch {
+		all = append(all, sc.dets...)
+		sc.dets = sc.dets[:0]
+		sc.flushInto(e)
 	}
-	sc := e.sc
-	sc.dets = sc.dets[:0]
-	for _, gi := range live {
-		e.extendGroup(sc, &e.groups[gi], gi, seq, goodVals)
-	}
-	newly := e.mergeDetections(sc.dets, len(seq))
-	sc.dets = sc.dets[:0]
-	sc.flushInto(e)
+	newly := e.mergeDetections(all, len(seq))
+	e.detBuf = all[:0]
 	return newly
 }
 
-// extendGroup simulates seq for one group, committing its state words and
-// appending its detections (in relative time order) to sc.dets.
-func (e *Engine) extendGroup(sc *scratch, g *group, gi int, seq vectors.Sequence, goodVals [][]logic.Value) {
-	e.loadPlan(sc, g)
+// runGroup steps group gi through seq: the one per-group loop behind
+// both Extend and Evaluate. A committing call steps the group's own
+// state, appends its detections (in time order) to sc.dets and updates
+// the escalation state. A peek steps a copy of the state in sc's
+// buffers and leaves the group's newly detected faults and its
+// divergence count in e.newlyBuf[gi] and e.divBuf[gi].
+func (e *Engine) runGroup(sc *scratch, gi int, seq vectors.Sequence, goodVals [][]logic.Value, commit bool) {
+	g := &e.groups[gi]
 	alive := g.alive
-	full := e.fullEval
-	if g.escalated && !full {
-		e.densifyState(g.state, g.divDFF, alive)
-		full = true
+	full := e.fullEval || g.escalated
+	state, divDFF := g.state, &g.divDFF
+	if !commit {
+		state, divDFF = sc.state, &sc.divDFF
+		if full {
+			copy(state, g.state)
+		} else {
+			sc.divDFF = sc.divDFF[:0]
+			for _, di := range g.divDFF {
+				state[di] = g.state[di]
+				sc.divDFF = append(sc.divDFF, di)
+			}
+		}
+	}
+	if g.escalated && !e.fullEval {
+		// The full stepper reads dense state.
+		e.densifyState(state, g.divDFF, alive)
 	}
 	evalBefore := sc.evaluated
-	steps := 0
+	e.loadPlan(sc, g)
 	var detAll uint64
+	steps := 0
 	for u := range seq {
 		var det uint64
 		if full {
-			det = e.stepGroupFull(sc, g, seq[u], goodVals[u], g.state)
+			det = e.stepGroupFull(sc, g, seq[u], goodVals[u], state)
 		} else {
-			det = e.stepGroup(sc, g, goodVals[u], g.state, &g.divDFF)
+			det = e.stepGroup(sc, g, goodVals[u], state, divDFF)
 		}
 		det = det & alive &^ detAll
-		for m := det; m != 0; {
-			lane := trailingZeros(m)
-			m &^= 1 << uint(lane)
-			sc.dets = append(sc.dets, detection{u: u, gi: gi, lane: lane})
+		if commit {
+			for m := det; m != 0; {
+				lane := trailingZeros(m)
+				m &^= 1 << uint(lane)
+				sc.dets = append(sc.dets, detection{u: u, gi: gi, lane: lane})
+			}
 		}
 		detAll |= det
 		steps = u + 1
@@ -455,22 +472,66 @@ func (e *Engine) extendGroup(sc *scratch, g *group, gi int, seq vectors.Sequence
 		}
 	}
 	e.unloadPlan(sc, g)
-	if g.escalated && !e.fullEval {
-		// Convert the dense state back to the sparse representation
-		// against the good flip-flop values after the last stepped unit;
-		// a reconverged group de-escalates.
-		e.sparsifyState(g, goodVals[steps-1], alive)
-		if len(g.divDFF) == 0 {
-			g.escalated = false
-			g.hotCalls = 0
-			g.lastEval = 0
+
+	if commit {
+		if e.fullEval {
+			return
 		}
-	} else if !e.fullEval {
-		e.noteActivity(sc, g, sc.evaluated-evalBefore, steps)
+		if g.escalated {
+			// Convert the dense state back to the sparse representation
+			// against the good flip-flop values after the last stepped
+			// unit; a reconverged group de-escalates.
+			e.sparsifyState(g, goodVals[steps-1], alive)
+			if len(g.divDFF) == 0 {
+				g.escalated = false
+				g.hotCalls = 0
+				g.lastEval = 0
+			}
+		} else {
+			e.noteActivity(sc, g, sc.evaluated-evalBefore, steps)
+		}
+		return
+	}
+
+	newly := e.newlyBuf[gi][:0]
+	for m := detAll; m != 0; {
+		lane := trailingZeros(m)
+		m &^= 1 << uint(lane)
+		newly = append(newly, g.fault[lane])
+	}
+	e.newlyBuf[gi] = newly
+	e.divBuf[gi] = 0
+	// Divergence: undetected live lanes whose state definitely differs
+	// from the fault-free state after the last vector. Off the full path,
+	// flip-flops outside the diverged list equal the fault-free state and
+	// cannot contribute.
+	if steps == len(seq) {
+		var diverged uint64
+		goodFinal := goodVals[len(seq)-1]
+		if full {
+			for di, ff := range e.c.DFFs {
+				switch goodFinal[ff.D] {
+				case logic.Zero:
+					diverged |= state[di].DefiniteOne()
+				case logic.One:
+					diverged |= state[di].DefiniteZero()
+				}
+			}
+		} else {
+			for _, di := range *divDFF {
+				switch goodFinal[e.c.DFFs[di].D] {
+				case logic.Zero:
+					diverged |= state[di].DefiniteOne()
+				case logic.One:
+					diverged |= state[di].DefiniteZero()
+				}
+			}
+		}
+		e.divBuf[gi] = popcount(diverged & alive &^ detAll)
 	}
 }
 
-// Escalation thresholds (ModeAuto, 64-lane engine): a group escalates to
+// Escalation thresholds (64-lane engine): a group escalates to
 // the full-netlist stepper when its region spans at least
 // escRegionNum/escRegionDen of the netlist AND its measured activity
 // (gates evaluated per time unit) stays above escActivityNum/
@@ -488,9 +549,6 @@ const (
 // committing region-engine call that evaluated the given gate count over
 // the given number of time units.
 func (e *Engine) noteActivity(sc *scratch, g *group, evaluated int64, steps int) {
-	if e.opts.Mode != ModeAuto || steps == 0 {
-		return
-	}
 	region := len(g.plan.gates)
 	if region*escRegionDen < e.c.NumGates()*escRegionNum {
 		return
@@ -579,9 +637,9 @@ func (e *Engine) mergeDetections(dets []detection, seqLen int) []int {
 // faults closer to detection even when it detects nothing itself.
 //
 // Evaluate is the ATPG inner loop and is allocation-free in the steady
-// state: the good-value trace, the peek simulator, and all propagation
-// scratch are pooled on the Engine; only a nonempty newly slice
-// allocates.
+// state: the good-value trace, the peek simulator, the per-group merge
+// buffers and all propagation scratch are pooled on the Engine; only a
+// nonempty newly slice allocates.
 func (e *Engine) Evaluate(seq vectors.Sequence) (newly []int, divergence int) {
 	patternsApplied.Add(int64(len(seq)))
 	e.estat.PatternsApplied += int64(len(seq))
@@ -591,90 +649,16 @@ func (e *Engine) Evaluate(seq vectors.Sequence) (newly []int, divergence int) {
 	copy(e.entryGood, e.goodState)
 	goodVals := e.goodTracePeek(seq)
 	live := e.liveGroups()
-	if e.workers > 1 && len(live) > 1 {
-		return e.evaluateParallel(seq, goodVals, live)
+	e.runShards(live, seq, goodVals, false)
+	for _, sc := range e.workerScratch {
+		sc.flushInto(e)
 	}
+	// Merge in group order: the same order for every worker count.
 	for _, gi := range live {
-		g := &e.groups[gi]
-		detAll := e.evaluateGroup(e.sc, g, seq, goodVals, &divergence)
-		for detAll != 0 {
-			lane := trailingZeros(detAll)
-			detAll &^= 1 << uint(lane)
-			newly = append(newly, g.fault[lane])
-		}
+		newly = append(newly, e.newlyBuf[gi]...)
+		divergence += e.divBuf[gi]
 	}
-	e.sc.flushInto(e)
 	return newly, divergence
-}
-
-// evaluateGroup simulates seq for one group without committing state,
-// using sc's state buffer, and returns the mask of newly detected lanes.
-// It adds the group's divergence contribution to *divergence.
-func (e *Engine) evaluateGroup(sc *scratch, g *group, seq vectors.Sequence, goodVals [][]logic.Value, divergence *int) uint64 {
-	full := e.fullEval || g.escalated
-	if e.fullEval {
-		copy(sc.state, g.state)
-	} else if g.escalated {
-		// Non-committing densification: expand the sparse state into the
-		// scratch state buffer, leaving the group's own words untouched.
-		copy(sc.state, g.state)
-		e.densifyState(sc.state, g.divDFF, g.alive)
-	} else {
-		sc.divDFF = sc.divDFF[:0]
-		for _, di := range g.divDFF {
-			sc.state[di] = g.state[di]
-			sc.divDFF = append(sc.divDFF, di)
-		}
-	}
-	alive := g.alive
-	detAll := uint64(0)
-	e.loadPlan(sc, g)
-	steps := 0
-	for u := range seq {
-		var det uint64
-		if full {
-			det = e.stepGroupFull(sc, g, seq[u], goodVals[u], sc.state)
-		} else {
-			det = e.stepGroup(sc, g, goodVals[u], sc.state, &sc.divDFF)
-		}
-		det = det & alive &^ detAll
-		detAll |= det
-		steps = u + 1
-		if alive&^detAll == 0 {
-			break
-		}
-	}
-	e.unloadPlan(sc, g)
-	// Divergence: undetected live lanes whose state definitely differs
-	// from the fault-free state after the last simulated vector.
-	if steps == len(seq) && len(seq) > 0 {
-		var diverged uint64
-		goodFinal := goodVals[len(seq)-1]
-		if full {
-			for di, ff := range e.c.DFFs {
-				switch goodFinal[ff.D] {
-				case logic.Zero:
-					diverged |= sc.state[di].DefiniteOne()
-				case logic.One:
-					diverged |= sc.state[di].DefiniteZero()
-				}
-			}
-		} else {
-			// Flip-flops outside the diverged list equal the fault-free
-			// state and cannot contribute.
-			for _, di := range sc.divDFF {
-				ff := e.c.DFFs[di]
-				switch goodFinal[ff.D] {
-				case logic.Zero:
-					diverged |= sc.state[di].DefiniteOne()
-				case logic.One:
-					diverged |= sc.state[di].DefiniteZero()
-				}
-			}
-		}
-		*divergence += popcount(diverged & alive &^ detAll)
-	}
-	return detAll
 }
 
 // popcount returns the number of set bits in x.
@@ -691,9 +675,6 @@ func (e *Engine) Result() Result {
 
 // NumDetected returns the number of faults detected so far.
 func (e *Engine) NumDetected() int { return e.numDet }
-
-// GoodState returns the current fault-free flip-flop state (live view).
-func (e *Engine) GoodState() []logic.Value { return e.goodState }
 
 // trailingZeros returns the index of the lowest set bit of x (x != 0).
 func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }

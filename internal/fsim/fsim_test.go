@@ -6,6 +6,7 @@ import (
 
 	"seqbist/internal/faults"
 	"seqbist/internal/iscas"
+	"seqbist/internal/logic"
 	"seqbist/internal/netlist"
 	"seqbist/internal/vectors"
 	"seqbist/internal/xrand"
@@ -316,13 +317,13 @@ func TestAccessors(t *testing.T) {
 	c := iscas.S27()
 	fl := faults.CollapsedUniverse(c)
 	inc := New(c, fl, Options{})
-	if len(inc.GoodState()) != c.NumDFFs() {
-		t.Errorf("GoodState length %d", len(inc.GoodState()))
+	if len(inc.goodState) != c.NumDFFs() {
+		t.Errorf("good state length %d", len(inc.goodState))
 	}
 	inc.Extend(s27T0()[:2])
 	// After two vectors of the Table 2 sequence the good state is (0,1,0)
 	// (verified independently in package sim).
-	st := inc.GoodState()
+	st := inc.goodState
 	if st[0].String()+st[1].String()+st[2].String() != "010" {
 		t.Errorf("good state = %v%v%v, want 010", st[0], st[1], st[2])
 	}
@@ -392,22 +393,85 @@ func TestManyFaultsAcrossGroupBoundary(t *testing.T) {
 	}
 }
 
-// TestForcedModesMatchFull pins ModeQueue and ModeDense: each forced
-// propagation structure must match the full-evaluation reference on its
-// own, under binary and X-heavy stimuli.
+// TestForcedModesMatchFull holds each fault group on each of its three
+// steppers in turn — stepGroup on its queue path, stepGroupDense, and the
+// full-netlist stepGroupFull — over the same fault-free trace, and
+// requires the same detection mask and the same next state from all
+// three after every time unit, under binary and X-heavy stimuli. The
+// engine switches between them per group and time unit, so each must
+// agree with the others on its own.
 func TestForcedModesMatchFull(t *testing.T) {
 	for _, name := range []string{"s298", "s526"} {
 		c := iscas.MustLoad(name)
 		fl := faults.CollapsedUniverse(c)
 		rng := xrand.New(707)
-		bin := vectors.RandomSequence(rng, c.NumPIs(), 40)
-		xh := xheavySequence(rng, c.NumPIs(), 40)
-		for _, mode := range []Mode{ModeQueue, ModeDense} {
-			opts := Options{Mode: mode}
-			diffCheckOpts(t, name+"/"+mode.String(), c, fl, bin, opts)
-			diffCheckOpts(t, name+"/"+mode.String()+"/xheavy", c, fl, xh, opts)
+		stimuli := map[string]vectors.Sequence{
+			"binary": vectors.RandomSequence(rng, c.NumPIs(), 40),
+			"xheavy": xheavySequence(rng, c.NumPIs(), 40),
+		}
+		for kind, seq := range stimuli {
+			e := New(c, fl, Options{})
+			goodVals := e.goodTraceCommit(seq)
+			sc := newScratch(c)
+			allDFFs := make([]int32, c.NumDFFs())
+			for i := range allDFFs {
+				allDFFs[i] = int32(i)
+			}
+			detections, divergences := 0, 0
+			for gi := range e.groups {
+				g := &e.groups[gi]
+				qState := make([]logic.Word, c.NumDFFs())
+				dState := make([]logic.Word, c.NumDFFs())
+				fState := make([]logic.Word, c.NumDFFs())
+				for i := range fState {
+					fState[i] = logic.AllX()
+				}
+				var qDiv, dDiv []int32
+				e.loadPlan(sc, g)
+				for u := range seq {
+					g.lastEval = 0 // keeps stepGroup off its dense branch
+					dq := e.stepGroup(sc, g, goodVals[u], qState, &qDiv) & g.alive
+					dd := e.stepGroupDense(sc, g, goodVals[u], dState, &dDiv) & g.alive
+					df := e.stepGroupFull(sc, g, seq[u], goodVals[u], fState)
+					if dq != df || dd != df {
+						t.Fatalf("%s/%s group %d unit %d: detections queue %x dense %x full %x",
+							name, kind, gi, u, dq, dd, df)
+					}
+					want := sparseView(c, fState, allDFFs, goodVals[u], g.alive)
+					if got := sparseView(c, qState, qDiv, goodVals[u], g.alive); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%s group %d unit %d: queue next state differs from full", name, kind, gi, u)
+					}
+					if got := sparseView(c, dState, dDiv, goodVals[u], g.alive); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s/%s group %d unit %d: dense next state differs from full", name, kind, gi, u)
+					}
+					if df != 0 {
+						detections++
+					}
+					divergences += len(qDiv)
+				}
+				e.unloadPlan(sc, g)
+			}
+			if detections == 0 || divergences == 0 {
+				t.Fatalf("%s/%s: vacuous comparison (%d detecting units, %d diverged flip-flops)",
+					name, kind, detections, divergences)
+			}
 		}
 	}
+}
+
+// sparseView returns the flip-flops whose state word, with dead lanes
+// pinned to the fault-free value, differs from the fault-free next state
+// of goodRow. Only the entries of state listed in div are meaningful;
+// every other flip-flop holds the fault-free value.
+func sparseView(c *netlist.Circuit, state []logic.Word, div []int32, goodRow []logic.Value, alive uint64) map[int32]logic.Word {
+	out := map[int32]logic.Word{}
+	for _, di := range div {
+		bg := bcast[goodRow[c.DFFs[di].D]]
+		if w := mixAlive(state[di], bg, alive); w != bg {
+			out[di] = w
+		}
+	}
+	return out
 }
 
 // TestEngineRunReuse pins the Options-API contract that an Engine is
@@ -427,20 +491,4 @@ func TestEngineRunReuse(t *testing.T) {
 	if !reflect.DeepEqual(first, fresh) {
 		t.Fatal("reused engine differs from a fresh engine")
 	}
-}
-
-// TestOptionsValidation pins the constructor's panic on a meaningless
-// configuration and the zero-value defaults.
-func TestOptionsValidation(t *testing.T) {
-	c := iscas.S27()
-	fl := faults.CollapsedUniverse(c)
-	if got := New(c, fl, Options{}).Options(); got.Workers != 1 || got.Mode != ModeAuto || got.FullEvaluation {
-		t.Fatalf("normalized zero Options = %+v, want Workers=1 Mode=auto", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("mode=99: New did not panic")
-		}
-	}()
-	New(c, fl, Options{Mode: Mode(99)})
 }

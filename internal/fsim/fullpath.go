@@ -4,8 +4,8 @@ package fsim
 // engine: every gate of the circuit is evaluated for every group at
 // every time unit, with dense per-group state words and per-signal
 // forcing-mask probes. It serves two roles: the differential-testing
-// reference (Options.FullEvaluation — the active-region engine must
-// produce bit-for-bit identical results), and the escalation target the
+// reference (Engine.fullEval, set only by the package's tests — the
+// active-region engine must produce bit-for-bit identical results), and the escalation target the
 // activity heuristic falls back to for persistently hot whole-netlist
 // groups, where the cone restriction's bookkeeping costs more than it
 // saves (fsim.go, noteActivity).

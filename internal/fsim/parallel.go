@@ -1,17 +1,17 @@
 package fsim
 
-// Cone-sharded parallel scheduler for the Engine.
+// Cone-sharded group scheduler for the Engine.
 //
 // Groups are mutually independent once the fault-free value trace is
 // known: each group owns its state words, the circuit, plans, and fault
 // list are read-only, and the forcing masks and propagation stamps live
-// in a per-worker scratch. The scheduler therefore computes the
-// good-machine trace for the whole subsequence first, fans the live
-// groups out to a fixed set of workers, and merges the per-group
-// detections back in the serial schedule's (time, group, lane) order.
-// Detection results — Detected, DetTime, NumDetected, and the order of
-// newly reported faults — are bit-for-bit identical to the serial path
-// for every worker count.
+// in a per-shard scratch. Every Extend and Evaluate therefore computes
+// the good-machine trace for the whole subsequence first, runs the live
+// groups shard by shard, and merges the per-group detections back in
+// one canonical order. Detection results — Detected, DetTime,
+// NumDetected, and the order of newly reported faults — are bit-for-bit
+// identical for every worker count; Workers 1 is simply the one-shard
+// case, run on the caller's goroutine.
 //
 // Work is divided by static cone-aware shards rather than a dynamic
 // work-stealing queue. Groups are packed in cone-locality order
@@ -24,11 +24,10 @@ package fsim
 // netlist with every other worker. Shards are rebuilt only when enough
 // groups die for the balance to drift (half the groups since the last
 // build), so the steady state has no scheduling overhead beyond one
-// goroutine launch per shard.
+// goroutine launch for each shard but the caller's own.
 
 import (
 	"runtime"
-	"sync"
 
 	"seqbist/internal/logic"
 	"seqbist/internal/netlist"
@@ -101,94 +100,36 @@ func (e *Engine) ensureShards(live []int) {
 	e.shardLive = len(live)
 }
 
-// ensureWorkerScratch grows the per-worker scratch pool to n entries.
-// Scratches are retained across calls: Extend/Evaluate invocations are
-// sequential, so reuse is safe and keeps the hot path allocation-free.
-func (e *Engine) ensureWorkerScratch(n int) {
-	for len(e.workerScratch) < n {
+// runShards simulates every live group through runGroup on the
+// cone-aware shards, one private scratch per shard. The caller's
+// goroutine runs the first shard itself and one goroutine starts per
+// other shard (ConePartition returns only non-empty shards), so a lone
+// shard — every call at Workers 1 — runs inline and starts none. Dead
+// groups (detected since the shards were built) are skipped.
+func (e *Engine) runShards(live []int, seq vectors.Sequence, goodVals [][]logic.Value, commit bool) {
+	e.ensureShards(live)
+	for len(e.workerScratch) < len(e.shards) {
 		e.workerScratch = append(e.workerScratch, newScratch(e.c))
 	}
-}
-
-// runShards executes fn(worker, group index) for every live group of
-// every shard, one goroutine per shard. Dead groups (detected since the
-// shards were built) are skipped.
-func (e *Engine) runShards(fn func(w, gi int)) {
-	var wg sync.WaitGroup
-	for w := range e.shards {
-		if len(e.shards[w]) == 0 {
-			continue
-		}
-		wg.Add(1)
+	for w := 1; w < len(e.shards); w++ {
+		e.wg.Add(1)
 		go func(w int) {
-			defer wg.Done()
-			for _, gi := range e.shards[w] {
-				if e.groups[gi].alive == 0 {
-					continue
-				}
-				fn(w, gi)
-			}
+			defer e.wg.Done()
+			e.runShard(w, seq, goodVals, commit)
 		}(w)
 	}
-	wg.Wait()
+	if len(e.shards) > 0 {
+		e.runShard(0, seq, goodVals, commit)
+	}
+	e.wg.Wait()
 }
 
-// extendParallel is Extend's sharded path: live groups are simulated
-// concurrently against the precomputed good trace, committing their state
-// words, and detections are merged in serial order afterwards.
-func (e *Engine) extendParallel(seq vectors.Sequence, goodVals [][]logic.Value, live []int) []int {
-	e.ensureShards(live)
-	e.ensureWorkerScratch(len(e.shards))
-	e.runShards(func(w, gi int) {
-		e.extendGroup(e.workerScratch[w], &e.groups[gi], gi, seq, goodVals)
-	})
-	// Gather the per-worker detection buffers and merge them in the
-	// serial emission order (mergeDetections sorts by time, group, lane).
-	all := e.sc.dets[:0]
-	for _, sc := range e.workerScratch {
-		all = append(all, sc.dets...)
-		sc.dets = sc.dets[:0]
-		sc.flushInto(e)
-	}
-	newly := e.mergeDetections(all, len(seq))
-	e.sc.dets = all[:0]
-	return newly
-}
-
-// evaluateParallel is Evaluate's sharded path: non-committing, merging
-// per-group newly-detected lists in group order (the serial order) and
-// summing divergence. The per-group merge buffers are pooled on the
-// Engine.
-func (e *Engine) evaluateParallel(seq vectors.Sequence, goodVals [][]logic.Value, live []int) (newly []int, divergence int) {
-	e.ensureShards(live)
-	e.ensureWorkerScratch(len(e.shards))
-	ngroups := len(e.groups)
-	for len(e.newlyBuf) < ngroups {
-		e.newlyBuf = append(e.newlyBuf, nil)
-	}
-	if cap(e.divBuf) < ngroups {
-		e.divBuf = make([]int, ngroups)
-	}
-	e.divBuf = e.divBuf[:ngroups]
-	for _, gi := range live {
-		e.newlyBuf[gi] = e.newlyBuf[gi][:0]
-		e.divBuf[gi] = 0
-	}
-	e.runShards(func(w, gi int) {
-		g := &e.groups[gi]
-		detAll := e.evaluateGroup(e.workerScratch[w], g, seq, goodVals, &e.divBuf[gi])
-		for detAll != 0 {
-			lane := trailingZeros(detAll)
-			detAll &^= 1 << uint(lane)
-			e.newlyBuf[gi] = append(e.newlyBuf[gi], g.fault[lane])
+// runShard runs the live groups of shard w in order on its scratch.
+func (e *Engine) runShard(w int, seq vectors.Sequence, goodVals [][]logic.Value, commit bool) {
+	sc := e.workerScratch[w]
+	for _, gi := range e.shards[w] {
+		if e.groups[gi].alive != 0 {
+			e.runGroup(sc, gi, seq, goodVals, commit)
 		}
-	})
-	for _, sc := range e.workerScratch {
-		sc.flushInto(e)
 	}
-	for _, gi := range live {
-		newly = append(newly, e.newlyBuf[gi]...)
-		divergence += e.divBuf[gi]
-	}
-	return newly, divergence
 }

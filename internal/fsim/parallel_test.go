@@ -100,13 +100,15 @@ func TestParallelEvaluateMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestParallelismClamp checks the configuration edge cases: nonpositive
-// worker counts normalize to the serial path.
+// TestParallelismClamp checks the configuration edge cases: zero and
+// negative worker counts normalize to one shard.
 func TestParallelismClamp(t *testing.T) {
 	c := iscas.MustLoad("s27")
 	fl := faults.CollapsedUniverse(c)
-	if got := New(c, fl, Options{Workers: -3}).Options().Workers; got != 1 {
-		t.Fatalf("normalized Workers for -3 = %d, want 1", got)
+	for _, w := range []int{0, -3} {
+		if got := New(c, fl, Options{Workers: w}).workers; got != 1 {
+			t.Fatalf("normalized Workers for %d = %d, want 1", w, got)
+		}
 	}
 	seq := vectors.RandomSequence(xrand.New(1), c.NumPIs(), 30)
 	want := New(c, fl, Options{Workers: 1}).Run(seq)

@@ -272,33 +272,19 @@ func (s *Single) POTrace(f faults.Fault, seq vectors.Sequence) [][]logic.Value {
 	for i := range badState {
 		badState[i] = logic.X
 	}
-	stemSig := netlist.SignalID(-1)
-	branchGate, branchPin := -1, int32(-1)
-	branchDFF := -1
-	if f.IsStem() {
-		stemSig = f.Signal
-	} else {
-		con := c.Consumers(f.Signal)[f.Consumer]
-		switch con.Kind {
-		case netlist.ConsumerGate:
-			branchGate = int(con.Index)
-			branchPin = con.Pin
-		case netlist.ConsumerDFF:
-			branchDFF = int(con.Index)
-		}
-	}
-	stuck := f.Stuck
+	inj := decode(c, f)
+	stuck := inj.stuck
 	for _, vec := range seq {
 		for i, pi := range c.PIs {
 			v := vec[i]
-			if pi == stemSig {
+			if pi == inj.stemSig {
 				v = stuck
 			}
 			badVals[pi] = v
 		}
 		for i, ff := range c.DFFs {
 			v := badState[i]
-			if ff.Q == stemSig {
+			if ff.Q == inj.stemSig {
 				v = stuck
 			}
 			badVals[ff.Q] = v
@@ -306,12 +292,12 @@ func (s *Single) POTrace(f faults.Fault, seq vectors.Sequence) [][]logic.Value {
 		for gi := range c.Gates {
 			g := &c.Gates[gi]
 			var bv logic.Value
-			if gi == branchGate {
-				bv = evalScalar(g, badVals, branchGate, branchPin, stuck)
+			if gi == int(inj.branchGate) {
+				bv = evalScalar(g, badVals, gi, inj.branchPin, stuck)
 			} else {
 				bv = evalScalar(g, badVals, -1, 0, logic.Invalid)
 			}
-			if g.Out == stemSig {
+			if g.Out == inj.stemSig {
 				bv = stuck
 			}
 			badVals[g.Out] = bv
@@ -323,7 +309,7 @@ func (s *Single) POTrace(f faults.Fault, seq vectors.Sequence) [][]logic.Value {
 		trace = append(trace, po)
 		for i, ff := range c.DFFs {
 			v := badVals[ff.D]
-			if i == branchDFF {
+			if i == int(inj.branchDFF) {
 				v = stuck
 			}
 			badState[i] = v

@@ -57,8 +57,8 @@ func Stats() SimStats {
 
 // flushInto adds a scratch's locally accumulated counters to the
 // process-wide gauges and the owning engine's private counters, then
-// zeroes the local counts. The parallel scheduler calls it after its
-// workers have joined, so the engine-side adds are single-threaded.
+// zeroes the local counts. Extend and Evaluate call it after their
+// shards have joined, so the engine-side adds are single-threaded.
 func (sc *scratch) flushInto(e *Engine) {
 	if sc.evaluated != 0 {
 		gatesEvaluated.Add(sc.evaluated)

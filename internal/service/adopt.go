@@ -1,9 +1,7 @@
 package service
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
@@ -123,43 +121,8 @@ func (s *Service) adoptSweep(rec store.SweepRecord) {
 	if s.closed || s.sweeps[cur.ID] != nil {
 		return
 	}
-	sw := &sweep{
-		id:       cur.ID,
-		seq:      cur.Seq,
-		node:     s.cfg.NodeID, // ours from here on
-		tenant:   cur.Tenant,   // ownership transfers, attribution does not
-		created:  cur.Created,
-		finished: cur.Finished,
-		state:    State(cur.State),
-		canceled: cur.Canceled,
-		wake:     make(chan struct{}),
-	}
-	// A spec that no longer unmarshals is corruption, not an option the
-	// sweep can do without: record it so repairSweep fails lost members
-	// loudly instead of silently re-submitting from a zero spec.
-	if len(cur.Spec) > 0 {
-		if err := json.Unmarshal(cur.Spec, &sw.spec); err != nil {
-			sw.specErr = fmt.Errorf("stored sweep spec corrupt: %v", err)
-			s.noteStoreErr(sw.specErr)
-		}
-	}
-	for mi, m := range cur.Members {
-		sw.members = append(sw.members, sweepMember{
-			index: mi,
-			jobID: m.JobID,
-			status: Status{
-				ID: m.JobID, State: State(m.State), Circuit: m.Circuit,
-				CacheHit: m.CacheHit, Error: m.Error,
-			},
-		})
-	}
-	for _, er := range st.Events[cur.ID] {
-		var ev SweepEvent
-		if json.Unmarshal(er.Data, &ev) != nil {
-			continue
-		}
-		sw.events = append(sw.events, ev)
-	}
+	sw := s.sweepFromRecord(cur, st.Events[cur.ID])
+	sw.node = s.cfg.NodeID // ours from here on; the tenant attribution stays
 
 	// Materialize local mirrors of the sweep's member jobs — whichever
 	// node submitted or ran them — so repairSweep can overlay their
@@ -209,25 +172,7 @@ func (s *Service) adoptSweep(rec store.SweepRecord) {
 
 	s.registerSweep(sw)
 	s.repairSweep(rc, sw, memberJob)
-	// Re-attach results stripped before storage (persistSweepEvent) to
-	// the member snapshots and replayed events, as recovery does.
-	for i := range sw.members {
-		m := &sw.members[i]
-		if m.status.State == StateDone && m.result == nil {
-			if j := s.jobs[m.jobID]; j != nil {
-				m.result = j.result
-			}
-		}
-	}
-	for ei := range sw.events {
-		ev := &sw.events[ei]
-		if ev.Type == "member_update" && ev.Member != nil &&
-			ev.Member.State == StateDone && ev.Member.Result == nil {
-			if j := s.jobs[ev.Member.JobID]; j != nil {
-				ev.Member.Result = j.result
-			}
-		}
-	}
+	s.reattachResults(sw)
 	s.persistSweep(sw) // commit: the durable record now names this owner
 	s.metrics.sweepsAdopted.Add(1)
 }

@@ -242,51 +242,7 @@ func (s *Service) recover() {
 		if rec.Seq > s.sweepSeq {
 			s.sweepSeq = rec.Seq
 		}
-		sw := &sweep{
-			id:       rec.ID,
-			seq:      rec.Seq,
-			node:     rec.Node,
-			tenant:   rec.Tenant,
-			created:  rec.Created,
-			finished: rec.Finished,
-			state:    State(rec.State),
-			canceled: rec.Canceled,
-			wake:     make(chan struct{}),
-		}
-		if len(rec.Spec) > 0 {
-			if err := json.Unmarshal(rec.Spec, &sw.spec); err != nil {
-				// A stored spec that no longer unmarshals is corruption,
-				// not a recoverable condition: remember it so repairSweep
-				// fails the affected members loudly (naming the parse
-				// error) instead of re-running them from a zero spec.
-				sw.specErr = fmt.Errorf("stored sweep spec corrupt: %v", err)
-				s.noteStoreErr(sw.specErr)
-			}
-		}
-		if rec.Summary != nil {
-			var sum SweepSummary
-			if json.Unmarshal(rec.Summary, &sum) == nil {
-				sum.Markdown = experiments.SweepTable(sum.Rows)
-				sw.summary = &sum
-			}
-		}
-		for mi, m := range rec.Members {
-			sw.members = append(sw.members, sweepMember{
-				index: mi,
-				jobID: m.JobID,
-				status: Status{
-					ID: m.JobID, State: State(m.State), Circuit: m.Circuit,
-					CacheHit: m.CacheHit, Error: m.Error,
-				},
-			})
-		}
-		for _, er := range st.Events[rec.ID] {
-			var ev SweepEvent
-			if json.Unmarshal(er.Data, &ev) != nil {
-				continue
-			}
-			sw.events = append(sw.events, ev)
-		}
+		sw := s.sweepFromRecord(rec, st.Events[rec.ID])
 		s.sweeps[sw.id] = sw
 		s.sweepOrder = append(s.sweepOrder, sw.id)
 		s.metrics.sweepsRecovered.Add(1)
@@ -389,23 +345,7 @@ func (s *Service) recover() {
 		if !sw.state.Terminal() {
 			s.repairSweep(rc, sw, memberJob[sw.id])
 		}
-		for i := range sw.members {
-			m := &sw.members[i]
-			if m.status.State == StateDone && m.result == nil {
-				if j := s.jobs[m.jobID]; j != nil {
-					m.result = j.result
-				}
-			}
-		}
-		for ei := range sw.events {
-			ev := &sw.events[ei]
-			if ev.Type == "member_update" && ev.Member != nil &&
-				ev.Member.State == StateDone && ev.Member.Result == nil {
-				if j := s.jobs[ev.Member.JobID]; j != nil {
-					ev.Member.Result = j.result
-				}
-			}
-		}
+		s.reattachResults(sw)
 	}
 
 	// Rehydrate the result cache oldest-first, so LRU order ends up
@@ -414,6 +354,80 @@ func (s *Service) recover() {
 		if j := s.jobs[id]; j.state == StateDone && j.result != nil {
 			if s.cache.put(j.key, j.result) {
 				s.incResultRef(j.key)
+			}
+		}
+	}
+}
+
+// sweepFromRecord rebuilds a sweep from its stored record and event log,
+// for recovery and adoption alike. Callers hold s.mu.
+func (s *Service) sweepFromRecord(rec *store.SweepRecord, events []store.EventRecord) *sweep {
+	sw := &sweep{
+		id:       rec.ID,
+		seq:      rec.Seq,
+		node:     rec.Node,
+		tenant:   rec.Tenant,
+		created:  rec.Created,
+		finished: rec.Finished,
+		state:    State(rec.State),
+		canceled: rec.Canceled,
+		wake:     make(chan struct{}),
+	}
+	if len(rec.Spec) > 0 {
+		if err := json.Unmarshal(rec.Spec, &sw.spec); err != nil {
+			// A stored spec that no longer unmarshals is corruption, not
+			// a recoverable condition: remember it so repairSweep fails
+			// the affected members loudly (naming the parse error)
+			// instead of re-running them from a zero spec.
+			sw.specErr = fmt.Errorf("stored sweep spec corrupt: %v", err)
+			s.noteStoreErr(sw.specErr)
+		}
+	}
+	if rec.Summary != nil {
+		var sum SweepSummary
+		if json.Unmarshal(rec.Summary, &sum) == nil {
+			sum.Markdown = experiments.SweepTable(sum.Rows)
+			sw.summary = &sum
+		}
+	}
+	for mi, m := range rec.Members {
+		sw.members = append(sw.members, sweepMember{
+			index: mi,
+			jobID: m.JobID,
+			status: Status{
+				ID: m.JobID, State: State(m.State), Circuit: m.Circuit,
+				CacheHit: m.CacheHit, Error: m.Error,
+			},
+		})
+	}
+	for _, er := range events {
+		var ev SweepEvent
+		if json.Unmarshal(er.Data, &ev) != nil {
+			continue
+		}
+		sw.events = append(sw.events, ev)
+	}
+	return sw
+}
+
+// reattachResults re-attaches the member results stripped before storage
+// (persistSweepEvent) to sw's member snapshots and replayed member_update
+// events, from the rebuilt member jobs. Callers hold s.mu.
+func (s *Service) reattachResults(sw *sweep) {
+	for i := range sw.members {
+		m := &sw.members[i]
+		if m.status.State == StateDone && m.result == nil {
+			if j := s.jobs[m.jobID]; j != nil {
+				m.result = j.result
+			}
+		}
+	}
+	for ei := range sw.events {
+		ev := &sw.events[ei]
+		if ev.Type == "member_update" && ev.Member != nil &&
+			ev.Member.State == StateDone && ev.Member.Result == nil {
+			if j := s.jobs[ev.Member.JobID]; j != nil {
+				ev.Member.Result = j.result
 			}
 		}
 	}

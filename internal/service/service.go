@@ -87,10 +87,6 @@ type Config struct {
 	// MaxSweepMembers caps the number of circuits one sweep may contain
 	// (default 64).
 	MaxSweepMembers int
-	// MaxSweeps bounds the number of retained sweep records (default 128;
-	// negative disables eviction). Oldest terminal sweeps are evicted
-	// first; running sweeps are never dropped.
-	MaxSweeps int
 	// BenchLimits bounds uploaded .bench netlists (default
 	// bench.UploadLimits; negative fields disable the respective limit).
 	BenchLimits bench.Limits
@@ -172,9 +168,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultStrategy == "" {
 		c.DefaultStrategy = strategy.Default
-	}
-	if c.MaxSweeps == 0 {
-		c.MaxSweeps = 128
 	}
 	if c.BenchLimits == (bench.Limits{}) {
 		c.BenchLimits = bench.UploadLimits

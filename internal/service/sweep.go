@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"seqbist/internal/core"
 	"seqbist/internal/experiments"
 	"seqbist/internal/store"
 	"seqbist/internal/strategy"
@@ -577,22 +578,18 @@ func (s *Service) raceLegTerminal(sw *sweep, i, li int, final Status, res *Resul
 }
 
 // betterResult reports whether a strictly beats b under the race
-// comparator: higher fault coverage first, then smaller stored cost
-// (total stored length, then max stored length, then sequence count).
-// Exact ties keep the incumbent, so iterating legs in portfolio order
-// makes the earlier strategy win ties — the same canonical rule as
-// internal/strategy's in-pipeline race.
+// comparator: higher fault coverage first, then the portfolio's
+// storage-cost order (strategy.LessStats). Exact ties keep the
+// incumbent, so iterating legs in portfolio order makes the earlier
+// strategy win ties — the same canonical rule as internal/strategy's
+// in-pipeline race.
 func betterResult(a, b *Result) bool {
 	if a.Coverage != b.Coverage {
 		return a.Coverage > b.Coverage
 	}
-	if a.TotalLen != b.TotalLen {
-		return a.TotalLen < b.TotalLen
-	}
-	if a.MaxLen != b.MaxLen {
-		return a.MaxLen < b.MaxLen
-	}
-	return a.NumSequences < b.NumSequences
+	return strategy.LessStats(
+		core.Stats{NumSequences: a.NumSequences, TotalLen: a.TotalLen, MaxLen: a.MaxLen},
+		core.Stats{NumSequences: b.NumSequences, TotalLen: b.TotalLen, MaxLen: b.MaxLen})
 }
 
 // decideRaceLocked settles a racing member once its last leg is
@@ -680,15 +677,19 @@ func (s *Service) finalizeSweepLocked(sw *sweep) {
 	s.metrics.sweepsFinished.Add(1)
 }
 
+// maxSweeps bounds the number of retained sweep records. Oldest terminal
+// sweeps are evicted first; running sweeps are never dropped.
+const maxSweeps = 128
+
 // registerSweep records sw and evicts the oldest terminal sweeps beyond
-// the retention bound. Callers hold the Service mutex.
+// maxSweeps. Callers hold the Service mutex.
 func (s *Service) registerSweep(sw *sweep) {
 	s.sweeps[sw.id] = sw
 	s.sweepOrder = append(s.sweepOrder, sw.id)
-	if s.cfg.MaxSweeps < 0 || len(s.sweepOrder) <= s.cfg.MaxSweeps {
+	if len(s.sweepOrder) <= maxSweeps {
 		return
 	}
-	over := len(s.sweepOrder) - s.cfg.MaxSweeps
+	over := len(s.sweepOrder) - maxSweeps
 	kept := s.sweepOrder[:0]
 	for _, id := range s.sweepOrder {
 		if over > 0 && s.sweeps[id].state.Terminal() {

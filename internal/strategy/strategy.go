@@ -174,13 +174,13 @@ func permSeed(seed uint64, order []int) uint64 {
 // construction, so lower storage wins: total stored length, then longest
 // stored sequence, then sequence count.
 func better(a, b *core.Result) bool {
-	return lessStats(core.StatsOf(a.Set), core.StatsOf(b.Set))
+	return LessStats(core.StatsOf(a.Set), core.StatsOf(b.Set))
 }
 
-// lessStats is the canonical storage-cost order shared by every
-// comparison in the portfolio (and mirrored by the service's sweep-level
-// race), lexicographic on (TotalLen, MaxLen, NumSequences).
-func lessStats(a, b core.Stats) bool {
+// LessStats is the canonical storage-cost order shared by every
+// comparison in the portfolio and by the service's sweep-level race,
+// lexicographic on (TotalLen, MaxLen, NumSequences).
+func LessStats(a, b core.Stats) bool {
 	if a.TotalLen != b.TotalLen {
 		return a.TotalLen < b.TotalLen
 	}
